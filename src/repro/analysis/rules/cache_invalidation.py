@@ -2,8 +2,8 @@
 
 The PR-3/PR-5 bug class: the factor graph's performance rests on
 caches keyed by structure that is assumed frozen — per-variable static
-adjacency, pooled template instances, memoized factor scores keyed by
-``Weights.version``.  Any method that mutates the underlying structure
+adjacency, pooled template instances, compiled array scorers whose
+blanket score caches are keyed by ``Weights.version``.  Any method that mutates the underlying structure
 (``FactorGraph.variables``/``_by_name``/``templates``, a template's
 weights or feature functions, ``Weights._values``) and reaches *any*
 exit without running the matching invalidation leaves a cache serving

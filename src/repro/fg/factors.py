@@ -11,22 +11,19 @@ factors touch a changed variable; :attr:`Factor.key` deduplicates the
 instances that two endpoints of the same factor would otherwise
 produce.
 
-Static templates pool their factor instances (one object per key for
-the graph's lifetime), which makes per-instance *score memoization*
-profitable: a :class:`LogLinearFactor` built with ``stable=True``
-caches ``endpoint values -> score`` and invalidates the cache whenever
-:attr:`repro.fg.weights.Weights.version` moves.  ``stable`` asserts
-that the factor's features depend only on its endpoints' values (plus
-per-factor constants such as an observed token string) — never on the
-values of variables outside the factor.
+A :class:`LogLinearFactor` built with ``stable=True`` asserts that its
+features depend only on its endpoints' values (plus per-factor
+constants such as an observed token string) — never on the values of
+variables outside the factor.  That is what makes it eligible for the
+array scorer (:mod:`repro.fg.vectorized`).
 
-Stable factors additionally carry an **array cache** for the vectorized
-scorer (:mod:`repro.fg.vectorized`): ``(signature, endpoint values) ->
-(weight slots, feature values)``, where the slots index the shared
-:meth:`repro.fg.weights.Weights.slot` map.  Unlike the score memo this
-cache is *weights-version independent* — slots are stable and only the
-dense weight values move — so SampleRank's mid-run updates never evict
-it.  The ``signature`` folds in every per-factor constant the features
+Stable factors carry an **array cache** for that scorer:
+``(signature, endpoint values) -> (weight slots, feature values)``,
+where the slots index the shared
+:meth:`repro.fg.weights.Weights.slot` map.  The cache is
+*weights-version independent* — slots are stable and only the dense
+weight values move — so SampleRank's mid-run updates never evict it.
+The ``signature`` folds in every per-factor constant the features
 read (e.g. the observed token string), which lets templates share one
 array dict across all their factor instances: every "Rangoon" emission
 factor in the corpus hits the same entries.
@@ -92,14 +89,12 @@ class LogLinearFactor(Factor):
     ``variable.value`` and per-variable observations directly — no
     per-instantiation closure needed).
 
-    ``stable=True`` memoizes ``endpoint values -> score``.  The memo is
-    keyed against :attr:`Weights.version`, so any weight mutation
-    (SampleRank updates, ``set``, ``load``) invalidates it on the next
-    read.  Only enable for factors whose features are a pure function
-    of their own endpoints' values (see module docstring).
+    ``stable=True`` makes the factor eligible for the array scorer.
+    Only enable for factors whose features are a pure function of their
+    own endpoints' values (see module docstring).
 
     ``arrays``/``signature`` attach the factor to an array cache for the
-    vectorized scorer: ``arrays`` maps ``(signature, *endpoint values)``
+    array scorer: ``arrays`` maps ``(signature, *endpoint values)``
     to precomputed ``(weight slots, feature values)`` tuples (shared
     across a template's factors when a signature function is available,
     private to this factor otherwise) and :meth:`build_array_entry`
@@ -108,7 +103,7 @@ class LogLinearFactor(Factor):
     """
 
     __slots__ = ("weights", "_feature_fn", "stable", "_pass_variables",
-                 "_memo", "_memo_version", "arrays", "signature")
+                 "arrays", "signature")
 
     def __init__(
         self,
@@ -127,8 +122,6 @@ class LogLinearFactor(Factor):
         self._feature_fn = feature_fn
         self.stable = stable
         self._pass_variables = pass_variables
-        self._memo: Dict[Tuple[Any, ...], float] | None = {} if stable else None
-        self._memo_version = -1
         self.arrays = arrays
         self.signature = signature
 
@@ -156,27 +149,7 @@ class LogLinearFactor(Factor):
         return tuple(slots), tuple(values)
 
     def score(self) -> float:
-        memo = self._memo
-        weights = self.weights
-        if memo is None:
-            return weights.dot(self.template_name, self.features())
-        version = weights._version
-        if version != self._memo_version:
-            memo.clear()
-            self._memo_version = version
-        variables = self.variables
-        arity = len(variables)
-        if arity == 1:
-            values = variables[0]._value
-        elif arity == 2:
-            values = (variables[0]._value, variables[1]._value)
-        else:
-            values = tuple(v._value for v in variables)
-        cached = memo.get(values)
-        if cached is None:
-            cached = weights.dot(self.template_name, self.features())
-            memo[values] = cached
-        return cached
+        return self.weights.dot(self.template_name, self.features())
 
 
 class TableFactor(Factor):

@@ -6,27 +6,27 @@ templates only around the variables a proposal touches, so the cost of
 evaluating a Metropolis-Hastings acceptance ratio is independent of the
 database size (Appendix 9.2).
 
-On top of laziness the graph keeps a **static adjacency cache**: for
-each variable, the factors contributed by static (non-``dynamic``)
-templates are instantiated once on first touch and reused for the
-graph's lifetime — the structure of a static template cannot change, so
-``factors_touching``/``local_score``/``score_delta`` reduce to a dict
-lookup plus (memoized) factor scoring instead of a scan over all
-templates with fresh allocations per step.  Dynamic templates are
-re-queried on every call, exactly as before.  :meth:`set_caching`
-disables both layers to recover the uncached reference behaviour
-(equivalence tests and benchmarks rely on bit-identical results), and
-code that mutates ``graph.templates`` in place after scoring has
-started must call :meth:`clear_caches` for the change to take effect.
+Scoring has two paths behind one switch, :meth:`set_caching`:
 
-On top of the caches sits the **vectorized scoring layer**
-(:mod:`repro.fg.vectorized`): per-variable compiled scorers that turn a
-single-variable ``score_delta`` (and the Gibbs conditional, via
-:meth:`local_conditional_scores`) into array lookups over the dense
-weight vector, with :meth:`score_delta_batch` amortizing K independent
-what-ifs.  :meth:`set_vectorized` is the escape hatch restoring the
-dict path bit-identically; variables whose adjacency offers no purity
-contract fall back automatically.
+* the **fast path** (the default) keeps a *static adjacency cache* —
+  for each variable, the factors contributed by static
+  (non-``dynamic``) templates are instantiated once on first touch and
+  reused for the graph's lifetime — and compiles each eligible
+  variable's adjacency into an *array scorer*
+  (:mod:`repro.fg.vectorized`), which turns a single-variable
+  ``score_delta`` (and the Gibbs conditional, via
+  :meth:`local_conditional_scores`) into array lookups over the dense
+  weight list.  Variables whose adjacency offers no purity contract,
+  dynamic templates and multi-variable proposals are scored by summing
+  the (pooled) adjacent factors;
+* the **reference path** (``set_caching(False)``) re-instantiates and
+  re-scores every adjacent factor on every call.
+
+Both paths add factor scores left to right with ``+=`` in the same
+factor order, so they agree bit for bit (equivalence tests and
+benchmarks rely on it).  Code that mutates ``graph.templates`` in place
+after scoring has started must call :meth:`clear_caches` for the change
+to take effect.
 
 Graphs are also **mutable in place** (live updates, ISSUE 5):
 :meth:`add_variables` / :meth:`remove_variables` /
@@ -134,9 +134,8 @@ class FactorGraph:
         self._flat_adjacency: Dict[Hashable, Tuple[Factor, ...]] = {}
         self._cache_enabled = True
         # variable name -> compiled LocalScorer (None = the variable's
-        # adjacency is ineligible; score through the reference path).
+        # adjacency is ineligible; score through the factor sum).
         self._scorers: Dict[Hashable, LocalScorer | None] = {}
-        self._vectorized = True
 
     # ------------------------------------------------------------------
     # Lookup
@@ -154,11 +153,12 @@ class FactorGraph:
     # Cache control
     # ------------------------------------------------------------------
     def set_caching(self, enabled: bool) -> None:
-        """Toggle the static adjacency cache, template instance pools
-        and score memoization in one go.  ``set_caching(False)``
-        restores the uncached reference behaviour: every call
-        re-instantiates factors and every score recomputes the feature
-        dot product.  Sampling results are bit-identical either way."""
+        """Switch between the fast path (the default) and the uncached
+        reference: the static adjacency cache, template instance pools
+        and array scorers go on or off together.  ``set_caching(False)``
+        re-instantiates factors on every call and recomputes every
+        feature dot product.  Sampling results are bit-identical
+        either way."""
         self._cache_enabled = bool(enabled)
         self._static_adjacency.clear()
         self._flat_adjacency.clear()
@@ -169,23 +169,6 @@ class FactorGraph:
     @property
     def caching_enabled(self) -> bool:
         return self._cache_enabled
-
-    def set_vectorized(self, enabled: bool) -> None:
-        """Toggle the array-backed scoring path (on by default).
-
-        ``set_vectorized(False)`` is the escape hatch restoring the
-        reference dict path **bit-identically**: the vectorized scorer
-        is built so both paths produce equal floats (see
-        :mod:`repro.fg.vectorized`), so flipping this changes
-        performance, never results.  Vectorization also requires
-        caching: ``set_caching(False)`` implies the reference path.
-        """
-        self._vectorized = bool(enabled)
-        self._scorers.clear()
-
-    @property
-    def vectorized_enabled(self) -> bool:
-        return self._vectorized
 
     def clear_caches(self) -> None:
         """Drop cached adjacency and pooled instances (rebuilt lazily).
@@ -500,11 +483,23 @@ class FactorGraph:
     # ------------------------------------------------------------------
     def score(self) -> float:
         """Unnormalized log-probability of the current world."""
-        return sum(f.score() for f in self.all_factors().values())
+        return _total(self.all_factors().values())
 
     def local_score(self, variables: Iterable[HiddenVariable]) -> float:
         """Sum of scores of factors adjacent to ``variables`` only."""
-        return sum(f.score() for f in self.factors_touching(variables).values())
+        return _total(self.factors_touching(variables).values())
+
+    def _scorer(self, variable: HiddenVariable) -> LocalScorer | None:
+        """``variable``'s array scorer, compiled on first use (``None``
+        = ineligible; score through the factor sum instead)."""
+        scorers = self._scorers
+        try:
+            return scorers[variable.name]
+        except KeyError:
+            scorer = scorers[variable.name] = build_scorer(
+                variable, self.adjacent_static(variable)
+            )
+            return scorer
 
     def score_delta(self, changes: Dict[HiddenVariable, Any]) -> float:
         """Log-score difference of applying ``changes``, computed from
@@ -529,52 +524,29 @@ class FactorGraph:
         neighbourhoods that include the touched variable's perspective
         on at least one side.
         """
-        if not self.has_dynamic_templates and len(changes) == 1:
-            # Hot path: a single-variable proposal on a static graph
-            # (no ``list(changes)`` materialization on this branch).
+        if (
+            len(changes) == 1
+            and self._cache_enabled
+            and not self.has_dynamic_templates
+        ):
+            # Hot path: a single-variable proposal on a static graph,
+            # scored by the variable's compiled array scorer.
             [variable] = changes
-            if self._vectorized and self._cache_enabled:
-                # Array path: compiled per-variable scorer (blanket
-                # score cache + shared feature arrays + dense weights);
-                # bit-identical to the loop below by construction.
-                scorers = self._scorers
-                name = variable.name
-                try:
-                    scorer = scorers[name]
-                except KeyError:
-                    scorer = build_scorer(variable, self.adjacent_static(variable))
-                    scorers[name] = scorer
-                if scorer is not None:
-                    return scorer.delta(changes[variable])
-            # Reference path: the flat cached adjacency needs no dict,
-            # no dedup and (in steady state) no allocation; summation
-            # order matches the generic path below so results stay
-            # bit-identical.
-            factors = self.adjacent_static(variable)
-            before = 0.0
-            for factor in factors:
-                before += factor.score()
-            saved_value = variable.value
-            try:
-                variable.set_value(changes[variable])
-                after = 0.0
-                for factor in factors:
-                    after += factor.score()
-            finally:
-                variable.set_value(saved_value)
-            return after - before
+            scorer = self._scorer(variable)
+            if scorer is not None:
+                return scorer.delta(changes[variable])
         touched = list(changes)
         before_factors = self.factors_touching(touched)
-        before = sum(f.score() for f in before_factors.values())
+        before = _total(before_factors.values())
         saved = {v: v.value for v in touched}
         appeared: List[Factor] = []
         try:
             for variable, value in changes.items():
                 variable.set_value(value)
             if not self.has_dynamic_templates:
-                return sum(f.score() for f in before_factors.values()) - before
+                return _total(before_factors.values()) - before
             after_factors = self.factors_touching(touched)
-            after = sum(f.score() for f in after_factors.values())
+            after = _total(after_factors.values())
             # Vanished from the touched side but still in the graph:
             # score those under the changed world too.
             vanished = [
@@ -584,7 +556,7 @@ class FactorGraph:
             ]
             if vanished:
                 present = self._present_keys(vanished)
-                after += sum(f.score() for f in vanished if f.key in present)
+                after += _total(f for f in vanished if f.key in present)
             appeared = [
                 factor
                 for key, factor in after_factors.items()
@@ -597,7 +569,7 @@ class FactorGraph:
         # the touched side may have already existed in the full graph.
         if appeared:
             present = self._present_keys(appeared)
-            before += sum(f.score() for f in appeared if f.key in present)
+            before += _total(f for f in appeared if f.key in present)
         return after - before
 
     def score_delta_batch(
@@ -607,7 +579,7 @@ class FactorGraph:
         world (each delta is relative to the live assignment, not to the
         previous proposal in the batch).
 
-        On the vectorized path, proposals touching the same variable
+        On the fast path, proposals touching the same variable
         amortize heavily: the "before" side is computed once per
         Markov-blanket assignment and every candidate score lands in
         the blanket cache, so K single-variable what-ifs cost one
@@ -622,43 +594,21 @@ class FactorGraph:
         numerators), in domain order.  The live assignment is restored
         before returning.
 
-        The vectorized path serves all values from the blanket score
-        cache; the fallback re-scores per candidate exactly as the
-        reference Gibbs implementation always has, so both paths are
-        bit-identical.
+        The array scorer serves all values from its blanket score
+        cache; otherwise each candidate is set and scored with
+        :meth:`local_score`, bit-identically.
         """
         values = variable.domain.values
-        if (
-            not self.has_dynamic_templates
-            and self._vectorized
-            and self._cache_enabled
-        ):
-            scorers = self._scorers
-            name = variable.name
-            try:
-                scorer = scorers[name]
-            except KeyError:
-                scorer = build_scorer(variable, self.adjacent_static(variable))
-                scorers[name] = scorer
+        if self._cache_enabled and not self.has_dynamic_templates:
+            scorer = self._scorer(variable)
             if scorer is not None:
                 return scorer.local_scores(list(values))
         saved = variable.value
         scores: List[float] = []
         try:
-            if self.has_dynamic_templates:
-                # The adjacent factor set may change with the value:
-                # re-instantiate per candidate.
-                for value in values:
-                    variable.set_value(value)
-                    scores.append(self.local_score([variable]))
-            else:
-                # Static structure: fetch the (cached) adjacent factors
-                # once and rescore them per candidate value — after the
-                # first sweep every factor score is a memo lookup.
-                factors = self.adjacent_static(variable)
-                for value in values:
-                    variable.set_value(value)
-                    scores.append(sum(f.score() for f in factors))
+            for value in values:
+                variable.set_value(value)
+                scores.append(self.local_score([variable]))
         finally:
             variable.set_value(saved)
         return scores
@@ -712,6 +662,20 @@ class FactorGraph:
             for i, value in enumerate(assignment):
                 marginals[i][value] += probability
         return marginals
+
+
+def _total(factors: Iterable[Factor]) -> float:
+    """Sum of factor scores, added left to right with ``+=``.
+
+    Every factor-score sum in this module goes through here, never
+    builtin ``sum()``: from Python 3.12 on ``sum()`` of floats is
+    compensated, which differs in the last bit from the array scorer's
+    plain accumulation and would break the fast/reference bit-identity.
+    """
+    total = 0.0
+    for factor in factors:
+        total += factor.score()
+    return total
 
 
 def _log_sum_exp(values: List[float]) -> float:

@@ -11,9 +11,10 @@ Static (non-``dynamic``) templates additionally *pool* their factor
 instances: ``factors_for`` returns the same :class:`LogLinearFactor`
 objects for the graph's lifetime instead of constructing fresh objects
 and feature closures on every call, so the MH inner loop allocates
-(nearly) nothing and per-instance score memoization pays off.  Dynamic
-templates — whose factor *set* depends on other variables' values —
-keep re-instantiating, as the set must be recomputed per call anyway.
+(nearly) nothing and the array scorer can compile each variable's
+adjacency once.  Dynamic templates — whose factor *set* depends on
+other variables' values — keep re-instantiating, as the set must be
+recomputed per call anyway.
 
 Generic templates cover the common arities:
 
@@ -49,23 +50,25 @@ class Template:
     under both worlds; dynamic templates force re-instantiation after
     the hypothesized change.
 
-    ``stable_features`` is the memoization contract (see
+    ``stable_features`` is the array-eligibility contract (see
     :class:`repro.fg.factors.LogLinearFactor`): it asserts that a
     factor's features depend only on its own endpoints' values plus
-    per-factor constants, never on other variables' values, so
-    ``endpoint values -> score`` may be cached.  Defaults to ``True``
-    for static templates and ``False`` for dynamic ones; model authors
-    whose *static* template features read global state must pass
-    ``stable_features=False`` explicitly.
+    per-factor constants, never on other variables' values, so the
+    array scorer (:mod:`repro.fg.vectorized`) may cache
+    ``endpoint values -> features``.  Defaults to ``True`` for static
+    templates and ``False`` for dynamic ones; model authors whose
+    *static* template features read global state must pass
+    ``stable_features=False`` explicitly, which keeps their variables
+    on the factor-sum path.
 
     The generic templates additionally accept a ``signature_fn``
-    strengthening that contract for the vectorized scorer: it maps a
+    strengthening that contract for the array scorer: it maps a
     factor's endpoints to a hashable **signature** capturing *every*
     per-factor constant the features read, so that features are a pure
     function of ``(signature, endpoint values)``.  Factors with equal
     signatures then share precomputed feature arrays template-wide —
     e.g. one NER emission entry per ``(string, label)`` instead of one
-    per (token, label) — which is where most of the vectorized path's
+    per (token, label) — which is where most of the array path's
     speedup comes from.  Without a ``signature_fn``, stable factors
     still get arrays, but private ones (no cross-factor sharing, and
     they are evicted together with the pooled instance, so live repair
@@ -96,7 +99,7 @@ class Template:
     # reproduce the uncached reference behaviour).
     # ------------------------------------------------------------------
     def set_caching(self, enabled: bool) -> None:
-        """Enable/disable instance pooling and score memoization."""
+        """Enable/disable instance pooling and the array caches."""
         self._cache_enabled = bool(enabled)
         self.clear_cache()
 
@@ -252,8 +255,8 @@ class PairwiseTemplate(Template):
         two surviving variables* — e.g. the transition edge severed by
         a mid-document insert — which targeted `invalidate(...,
         scan=False)` cannot see and the removal sweep never visits;
-        without it, dead instances (and their score memos) would
-        accumulate in the pool for the graph's lifetime."""
+        without it, dead instances would accumulate in the pool for the
+        graph's lifetime."""
         self._pool.pop((a, b), None)
         self._pool.pop((b, a), None)
 

@@ -1,10 +1,10 @@
-"""Array-backed local scoring: the vectorized hot path.
+"""Array-backed local scoring: the fast path's hot loop.
 
 The MH inner loop spends nearly all of its time summing the scores of
 the handful of factors adjacent to one proposed variable, before and
-after the change.  The reference path does that with Python calls per
-factor — feature-dict construction on memo misses, tuple hashing, dict
-dot products.  This module compiles a variable's (static, cached)
+after the change.  Summing factor scores does that with Python calls
+per factor — feature-dict construction, tuple hashing, dict dot
+products.  This module compiles a variable's (static, cached)
 adjacency into a :class:`LocalScorer`: a flat record list where each
 log-linear factor is reduced to *(shared array cache, signature,
 endpoints)* and scoring one candidate value is a few dict lookups plus
@@ -25,10 +25,12 @@ Three cache layers compose:
    {candidate value -> local score}``, keyed against the summed weights
    version so SampleRank's mid-run updates invalidate it wholesale.
 
-Bit-identity with the reference dict path is a hard contract, relied on
-by ``set_vectorized(False)`` and the equivalence suite.  Two rules make
-it hold: per-factor sums accumulate term-by-term in feature insertion
-order (never flattened across factors, never reassociated), and the
+Bit-identity with the uncached reference (``set_caching(False)``) is a
+hard contract, relied on by the equivalence suite.  Two rules make it
+hold: sums accumulate with a plain ``+=`` — term by term in feature
+insertion order within a factor, factor by factor in adjacency order
+across them, exactly as ``Weights.dot`` and the graph's factor sum do
+(never flattened, reassociated or compensated) — and the
 only numeric difference ever introduced — including a ``0.0``-weight
 term the sparse dot skips — perturbs at most the *sign of zero*, which
 ``==``, ``math.exp`` and every acceptance comparison ignore.
@@ -37,8 +39,8 @@ Eligibility is conservative: a scorer is built only when every adjacent
 factor is either a ``stable`` :class:`LogLinearFactor` or a value-pure
 :class:`TableFactor`/:class:`ConstraintFactor`.  Anything else (unknown
 factor subclasses, unstable features) makes
-:meth:`repro.fg.graph.FactorGraph.score_delta` fall back to the
-reference path for that variable.
+:meth:`repro.fg.graph.FactorGraph.score_delta` fall back to summing
+that variable's factor scores.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ def build_scorer(
     """Compile ``variable``'s adjacent factor list into a scorer.
 
     Returns ``None`` when any factor lacks a purity contract (see
-    module docstring); the caller then stays on the reference path.
+    module docstring); the caller then sums factor scores instead.
     Record order follows ``factors`` so score sums associate exactly as
-    the reference loop's.
+    the graph's factor sum does.
     """
     records: List[_Record] = []
     weights_objects: List[Weights] = []
@@ -109,8 +111,7 @@ def build_scorer(
                 )
                 continue
             # Stable but not array-addressable from this variable (higher
-            # arity, arrays disabled): score through the memoized
-            # reference path instead.
+            # arity, arrays disabled): call its score() instead.
             records.append((0, factor))
             if any(e is variable for e in endpoints):
                 needs_set = True

@@ -7,14 +7,13 @@ additive updates.  Keeping all templates' weights in one object makes
 saving/loading and L2 norms trivial.
 
 Every *effective* mutation — one that changes the stored mapping — bumps
-a monotonic :attr:`Weights.version` counter.  Memoized factor scores
-(:class:`repro.fg.factors.LogLinearFactor` with ``stable=True``) and the
-vectorized local scorers (:mod:`repro.fg.vectorized`) are keyed against
+a monotonic :attr:`Weights.version` counter.  The array scorers'
+blanket score caches (:mod:`repro.fg.vectorized`) are keyed against
 this counter, so SampleRank's mid-inference weight updates transparently
 invalidate every cached score without any registry of dependent factors.
 A no-op ``set`` (writing the value already stored) deliberately does
 *not* bump the version: it cannot change any score, and bumping would
-evict every memo graph-wide for nothing.
+evict every cached score graph-wide for nothing.
 
 Parameters driven exactly to ``0.0`` are **kept** as explicit zeros.
 Earlier revisions popped them, which silently shrank the parameter
@@ -34,12 +33,10 @@ state that pickles/saves), a :class:`Weights` maintains:
   through zero, being overwritten, or being loaded keeps its slot for
   the object's lifetime;
 * an incrementally maintained **dense value list** (``_dense``, one
-  float per assigned slot), which the vectorized scorer reads by plain
+  float per assigned slot), which the array scorer reads by plain
   list indexing — bit-identical to the sparse path because a factor's
   dot product is accumulated term-by-term in the same feature order
-  either way;
-* a lazily rebuilt read-only numpy view (:meth:`dense`) for batch
-  consumers.
+  either way.
 
 The derived state is dropped on pickling and rebuilt on demand; two
 unpickled copies of the same object assign slots independently.
@@ -51,9 +48,6 @@ import json
 import math
 from pathlib import Path
 from typing import Any, Dict, Hashable, ItemsView, List, Tuple
-
-import numpy as np
-from numpy.typing import NDArray
 
 from repro.fg.features import FeatureVector
 
@@ -68,7 +62,7 @@ _MISSING = object()
 class Weights:
     """Sparse parameter vector shared by all templates of a model."""
 
-    __slots__ = ("_values", "_version", "_slots", "_dense", "_dense_array")
+    __slots__ = ("_values", "_version", "_slots", "_dense")
 
     def __init__(self) -> None:
         self._values: Dict[Key, float] = {}
@@ -77,14 +71,13 @@ class Weights:
         self._slots: Dict[Key, int] = {}
         # slot -> current value (0.0 for features with no stored weight).
         self._dense: List[float] = []
-        self._dense_array: NDArray[np.float64] | None = None
 
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
-        """Monotonic mutation counter; memoized factor scores cached
-        under an older version are stale.  Bumped only by mutations that
-        actually change a stored value."""
+        """Monotonic mutation counter; scores cached under an older
+        version are stale.  Bumped only by mutations that actually
+        change a stored value."""
         return self._version
 
     def get(self, template: str, feature: Hashable) -> float:
@@ -101,13 +94,12 @@ class Weights:
         """
         key = (template, feature)
         if self._values.get(key, _MISSING) == value:
-            return  # No-op write: nothing stored changes, keep memos.
+            return  # No-op write: nothing stored changes, keep caches.
         self._version += 1
         self._values[key] = value
         slot = self._slots.get(key)
         if slot is not None:
             self._dense[slot] = value
-            self._dense_array = None
 
     def dot(self, template: str, features: FeatureVector) -> float:
         """``theta_template · phi`` for a sparse feature vector."""
@@ -135,7 +127,7 @@ class Weights:
 
         Assigned on first demand and never reassigned; the feature need
         not have a stored weight (its dense value is then 0.0).  The
-        vectorized scorer bakes slots into per-factor arrays, which stay
+        array scorer bakes slots into per-factor arrays, which stay
         valid across every weight mutation — only values move.
         """
         key = (template, feature)
@@ -144,26 +136,11 @@ class Weights:
             slot = len(self._dense)
             self._slots[key] = slot
             self._dense.append(self._values.get(key, 0.0))
-            self._dense_array = None
         return slot
 
     def num_slots(self) -> int:
         """Number of dense slots assigned so far."""
         return len(self._dense)
-
-    def dense(self) -> NDArray[np.float64]:
-        """Read-only numpy view of the dense value list, in slot order.
-
-        Rebuilt lazily after mutations; batch consumers
-        (``score_delta_batch``, analysis tooling) should not mutate it —
-        the sparse dict is the source of truth.
-        """
-        array = self._dense_array
-        if array is None or array.shape[0] != len(self._dense):
-            array = np.asarray(self._dense, dtype=np.float64)
-            array.setflags(write=False)
-            self._dense_array = array
-        return array
 
     # ------------------------------------------------------------------
     def num_parameters(self) -> int:
@@ -194,7 +171,6 @@ class Weights:
         self._version = state["_version"]
         self._slots = {}
         self._dense = []
-        self._dense_array = None
 
     # ------------------------------------------------------------------
     # Persistence (feature keys must be JSON-representable; tuple keys

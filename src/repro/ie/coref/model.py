@@ -335,8 +335,8 @@ class CorefModel:
         # the factor *set* changes under a proposal: dynamic=True makes
         # the MH kernel re-instantiate factors after the change, and
         # stable_features=False (the dynamic default, spelled out here)
-        # opts out of score memoization — factor instances are
-        # transient, so a memo would never be consulted twice.
+        # keeps them off the array scorer — factor instances are
+        # transient, so there is no fixed adjacency to compile.
         templates = [
             PairwiseTemplate(
                 AFFINITY,

@@ -225,12 +225,12 @@ class SkipChainNerModel:
     def _build_templates(self):
         # All four templates are static (the factor set is fixed by the
         # corpus) and their features read only the endpoints' label
-        # values plus per-token constants, so stable_features=True lets
-        # every factor memoize (label values) -> score across the walk.
-        # Signature functions declare the per-factor constants each
-        # feature function reads, unlocking template-wide sharing of
-        # the vectorized scorer's feature arrays (bound methods, like
-        # the feature functions, so everything still pickles).
+        # values plus per-token constants, so stable_features=True puts
+        # every variable on the array scorer.  Signature functions
+        # declare the per-factor constants each feature function reads,
+        # unlocking template-wide sharing of the scorer's feature arrays
+        # (bound methods, like the feature functions, so everything
+        # still pickles).
         self._transition_template = PairwiseTemplate(
             TRANSITION, self.weights, self._chain_neighbors,
             self._transition_features, stable_features=True,

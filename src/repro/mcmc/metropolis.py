@@ -8,9 +8,9 @@ One :meth:`MetropolisHastings.step`:
    O(|touched|), independent of database size; structure-changing
    models score the union of both adjacent factor sets (see
    :meth:`repro.fg.graph.FactorGraph.score_delta`).  For static models
-   the adjacent factor set comes from the graph's static adjacency
-   cache (pooled instances, memoized scores), so a steady-state walk
-   step allocates almost nothing;
+   a single-variable proposal is scored by the variable's compiled
+   array scorer (over the graph's static adjacency cache), so a
+   steady-state walk step allocates almost nothing;
 3. accept with probability ``min(1, pi(w')q(w|w') / pi(w)q(w'|w))``;
 4. on acceptance, flush changed :class:`~repro.fg.variables.FieldVariable`
    values through to the database, where attached delta recorders pick

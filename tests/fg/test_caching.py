@@ -1,17 +1,16 @@
-"""Unit tests for the factor-graph hot-path caches (ISSUE 3).
+"""Unit tests for the factor-graph structure caches.
 
-Covers the three layers introduced by the overhaul:
+Covers the two layers under the array scorer:
 
 * template instance pools (static ``factors_for`` returns the same
   factor objects for the graph's lifetime);
 * the graph's static adjacency cache (``adjacent_static`` /
   ``factors_touching`` stop scanning templates);
-* per-factor score memoization keyed against ``Weights.version``.
+
+plus the ``Weights.version`` counter every cached score is keyed on.
 """
 
 import pickle
-
-import pytest
 
 from repro.fg import (
     Domain,
@@ -25,23 +24,15 @@ from repro.fg import (
 BIN = Domain("bin", ["0", "1"])
 
 
-class CountingFeatures:
-    """A picklable feature function that counts invocations."""
-
-    def __init__(self):
-        self.calls = 0
+class FieldFeatures:
+    """Picklable unary features."""
 
     def __call__(self, variable):
-        self.calls += 1
         return {("on", variable.value): 1.0}
 
 
-class CountingPairFeatures:
-    def __init__(self):
-        self.calls = 0
-
+class PairFeatures:
     def __call__(self, a, b):
-        self.calls += 1
         return {("agree", a.value == b.value): 1.0}
 
 
@@ -63,26 +54,23 @@ class ChainNeighbors:
         return out
 
 
-def make_chain(n=3, stable=None):
+def make_chain(n=3):
     weights = Weights()
     weights.set("field", ("on", "1"), 0.5)
     weights.set("pair", ("agree", True), 1.0)
     variables = [HiddenVariable(f"v{i}", BIN, "0") for i in range(n)]
-    unary_fn = CountingFeatures()
-    pair_fn = CountingPairFeatures()
-    neighbors = ChainNeighbors(variables)
-
     templates = [
-        UnaryTemplate("field", weights, unary_fn, stable_features=stable),
-        PairwiseTemplate("pair", weights, neighbors, pair_fn, stable_features=stable),
+        UnaryTemplate("field", weights, FieldFeatures()),
+        PairwiseTemplate(
+            "pair", weights, ChainNeighbors(variables), PairFeatures()
+        ),
     ]
-    graph = FactorGraph(variables, templates)
-    return graph, variables, weights, unary_fn, pair_fn
+    return FactorGraph(variables, templates), variables
 
 
 class TestInstancePools:
     def test_static_factors_are_pooled(self):
-        graph, variables, *_ = make_chain()
+        graph, variables = make_chain()
         first = graph.factors_touching([variables[0]])
         second = graph.factors_touching([variables[0]])
         assert first.keys() == second.keys()
@@ -90,13 +78,13 @@ class TestInstancePools:
             assert first[key] is second[key]
 
     def test_adjacent_static_caches_tuple(self):
-        graph, variables, *_ = make_chain()
+        graph, variables = make_chain()
         assert graph.adjacent_static(variables[1]) is graph.adjacent_static(
             variables[1]
         )
 
     def test_pairwise_endpoints_share_instance(self):
-        graph, variables, *_ = make_chain()
+        graph, variables = make_chain()
         from_left = {
             f.key: f for f in graph.templates[1].factors_for(variables[0])
         }
@@ -109,7 +97,7 @@ class TestInstancePools:
             assert from_left[key] is from_right[key]
 
     def test_uncached_mode_returns_fresh_objects(self):
-        graph, variables, *_ = make_chain()
+        graph, variables = make_chain()
         graph.set_caching(False)
         first = graph.factors_touching([variables[0]])
         second = graph.factors_touching([variables[0]])
@@ -117,7 +105,7 @@ class TestInstancePools:
             assert first[key] is not second[key]
 
     def test_clear_caches_rebuilds(self):
-        graph, variables, *_ = make_chain()
+        graph, variables = make_chain()
         before = graph.adjacent_static(variables[0])
         graph.clear_caches()
         after = graph.adjacent_static(variables[0])
@@ -125,7 +113,7 @@ class TestInstancePools:
         assert [f.key for f in before] == [f.key for f in after]
 
     def test_factors_touching_matches_uncached(self):
-        graph, variables, *_ = make_chain(4)
+        graph, variables = make_chain(4)
         variables[1].set_value("1")
         cached = graph.factors_touching(variables[:3])
         graph.set_caching(False)
@@ -135,50 +123,8 @@ class TestInstancePools:
             f.score() for f in uncached.values()
         ]
 
-
-class TestScoreMemoization:
-    def test_repeat_scoring_hits_memo(self):
-        graph, variables, _, unary_fn, _ = make_chain(1)
-        factor = graph.adjacent_static(variables[0])[0]
-        factor.score()
-        calls = unary_fn.calls
-        factor.score()
-        factor.score()
-        assert unary_fn.calls == calls  # memo hit: no feature recompute
-
-    def test_memo_keyed_by_value(self):
-        graph, variables, *_ = make_chain(1)
-        factor = graph.adjacent_static(variables[0])[0]
-        low = factor.score()
-        variables[0].set_value("1")
-        high = factor.score()
-        variables[0].set_value("0")
-        assert factor.score() == low
-        assert high != low
-
-    @pytest.mark.parametrize("mutate", ["set", "update"])
-    def test_weight_mutation_invalidates_memo(self, mutate):
-        graph, variables, weights, *_ = make_chain(1)
-        factor = graph.adjacent_static(variables[0])[0]
-        variables[0].set_value("1")
-        before = factor.score()
-        if mutate == "set":
-            weights.set("field", ("on", "1"), 2.5)
-        else:
-            weights.update("field", {("on", "1"): 1.0}, 2.0)
-        after = factor.score()
-        assert after == weights.dot("field", factor.features())
-        assert after != before
-
-    def test_stable_false_disables_memo(self):
-        graph, variables, _, unary_fn, _ = make_chain(1, stable=False)
-        factor = graph.adjacent_static(variables[0])[0]
-        factor.score()
-        factor.score()
-        assert unary_fn.calls == 2
-
     def test_score_matches_uncached_reference(self):
-        graph, variables, *_ = make_chain(3)
+        graph, variables = make_chain(3)
         for assignment in (["0", "1", "0"], ["1", "1", "1"]):
             for variable, value in zip(variables, assignment):
                 variable.set_value(value)
@@ -217,8 +163,8 @@ class TestWeightsVersion:
 
 class TestPickling:
     def test_warmed_graph_pickles_and_caches_rebuild(self):
-        graph, variables, *_ = make_chain()
-        graph.score()  # warm pools, adjacency and memos
+        graph, variables = make_chain()
+        graph.score()  # warm pools and adjacency
         expected = graph.score()
         clone = pickle.loads(pickle.dumps((graph, variables)))[0]
         assert clone._static_adjacency == {}
@@ -229,7 +175,7 @@ class TestPickling:
         from repro.mcmc import MetropolisHastings
         from repro.mcmc.proposal import UniformLabelProposer
 
-        graph, variables, *_ = make_chain()
+        graph, variables = make_chain()
         graph.score()
         clone_graph, clone_vars = pickle.loads(pickle.dumps((graph, variables)))
         kernel = MetropolisHastings(

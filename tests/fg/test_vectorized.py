@@ -1,14 +1,13 @@
 """Unit tests for the array-backed local scorer (ISSUE 9 tentpole).
 
-The vectorized path is an *optimization*, so every test here is an
+The array path is an *optimization*, so every test here is an
 equivalence or lifecycle test: eligibility decisions, cache
-invalidation on weight updates and structural repair, the
-``set_vectorized(False)`` escape hatch, and the two new graph APIs
-(``score_delta_batch``, ``local_conditional_scores``).  The end-to-end
-bit-identity runs live in ``tests/integration``.
+invalidation on weight updates and structural repair, and the two
+graph APIs (``score_delta_batch``, ``local_conditional_scores``).
+Exact comparisons are against the dict-scoring reference,
+``set_caching(False)``.  The end-to-end bit-identity runs live in
+``tests/integration``.
 """
-
-import math
 
 import pytest
 
@@ -100,10 +99,10 @@ class TestEligibility:
         graph.templates[0].stable_features = False
         graph.clear_caches()
         v = variables[0]
-        vectorized = graph.score_delta({v: "1"})
-        graph.set_vectorized(False)
-        reference = graph.score_delta({v: "1"})
-        assert vectorized == reference
+        fast = graph.score_delta({v: "1"})
+        assert graph._scorers[v.name] is None
+        graph.set_caching(False)
+        assert graph.score_delta({v: "1"}) == fast
 
 
 class TestDeltaCorrectness:
@@ -120,10 +119,9 @@ class TestDeltaCorrectness:
         graph, variables, _ = make_chain(n=5)
         variables[1].set_value("1")
         moves = [(v, value) for v in variables for value in v.domain]
-        vectorized = [graph.score_delta({v: val}) for v, val in moves]
-        graph.set_vectorized(False)
-        reference = [graph.score_delta({v: val}) for v, val in moves]
-        assert vectorized == reference
+        fast = [graph.score_delta({v: val}) for v, val in moves]
+        graph.set_caching(False)
+        assert [graph.score_delta({v: val}) for v, val in moves] == fast
 
 
 class TestInvalidation:
@@ -165,28 +163,6 @@ class TestInvalidation:
         assert after == pytest.approx(brute_delta(graph, v, "1"))
 
 
-class TestEscapeHatch:
-    def test_toggle_round_trip(self):
-        graph, variables, _ = make_chain()
-        assert graph.vectorized_enabled
-        v = variables[0]
-        on = graph.score_delta({v: "1"})
-        graph.set_vectorized(False)
-        assert not graph.vectorized_enabled
-        off = graph.score_delta({v: "1"})
-        graph.set_vectorized(True)
-        again = graph.score_delta({v: "1"})
-        assert on == off == again
-
-    def test_disabling_caching_disables_scorers(self):
-        graph, variables, _ = make_chain()
-        graph.set_caching(False)
-        v = variables[0]
-        assert graph.score_delta({v: "1"}) == pytest.approx(
-            brute_delta(graph, v, "1")
-        )
-
-
 class TestBatchAndConditional:
     def test_score_delta_batch_matches_sequential(self):
         graph, variables, _ = make_chain(n=4)
@@ -199,12 +175,12 @@ class TestBatchAndConditional:
         graph, variables, _ = make_chain(n=4)
         variables[3].set_value("1")
         for v in variables:
-            vectorized = graph.local_conditional_scores(v)
-            graph.set_vectorized(False)
+            fast = graph.local_conditional_scores(v)
+            graph.set_caching(False)
             reference = graph.local_conditional_scores(v)
-            graph.set_vectorized(True)
-            assert vectorized == reference
-            assert len(vectorized) == len(v.domain)
+            graph.set_caching(True)
+            assert fast == reference
+            assert len(fast) == len(v.domain)
 
     def test_conditional_scores_shift_consistently(self):
         # Score differences between candidates must equal score_delta.
@@ -262,5 +238,4 @@ class TestPickling:
         before = graph.score_delta({v: "1"})
         clone, clone_vars = pickle.loads(pickle.dumps((graph, variables)))
         clone_v = next(u for u in clone_vars if u.name == v.name)
-        assert clone.vectorized_enabled
         assert clone.score_delta({clone_v: "1"}) == before

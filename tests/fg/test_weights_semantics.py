@@ -5,14 +5,14 @@ Three bugfix contracts, each with a regression test:
 * explicit zeros are *kept* — driving a weight to 0.0 must not shrink
   the parameter universe or break a save→load round trip;
 * ``set`` bumps :attr:`Weights.version` only on an *effective*
-  mutation — a no-op write must not evict every memoized score;
+  mutation — a no-op write must not evict every cached score;
 * ``load`` is the exact inverse of ``save`` and reports ``version == 0``
   (the loaded object has seen no mutations).
 
 Plus hypothesis property tests over the stable feature→slot index that
-the vectorized scorer builds on: under arbitrary interleavings of
+the array scorer builds on: under arbitrary interleavings of
 ``set``/``update``/zero-crossing mutations, slots never move, the dense
-view always mirrors the sparse dict, and the version bumps exactly when
+list always mirrors the sparse dict, and the version bumps exactly when
 the mapping changes.
 """
 
@@ -166,7 +166,7 @@ class TestSlotStability:
         _apply(w, ops)
         for feature in ["a", "b", "c", ("pair", 1), ("pair", 2)]:
             slot = w.slot("t", feature)
-            assert w.dense()[slot] == w.get("t", feature)
+            assert w._dense[slot] == w.get("t", feature)
         assert w.num_slots() == 5
 
     @given(ops=_OPS)

@@ -1,12 +1,17 @@
-"""Cache-enabled inference must be bit-identical to the uncached
-reference (ISSUE 3 acceptance).
+"""The fast scoring path must be bit-identical to the uncached reference.
 
-Each test runs the same seeded inference twice — once with the static
-adjacency cache + score memoization enabled (the default) and once with
+Each test runs the same seeded inference twice — once on the default
+path (static adjacency cache + array-backed local scorers) and once with
 ``FactorGraph.set_caching(False)`` — and asserts *exactly* equal
 results: trajectories, acceptance counts, marginals, learned weights.
-Any floating-point divergence (different summation order, stale memo)
-fails these tests.
+The fast path re-associates no sums and draws nothing from the RNG, so
+any divergence (a wrong slot, a stale blanket cache, a different
+summation order) fails these tests under ``==``, not ``approx``.
+
+Coref exercises dynamic templates, which never get a scorer: the switch
+must change nothing there.  SampleRank is the adversarial case: it
+mutates the weights mid-walk, so a scorer holding on to stale dense
+values would silently change the update sequence.
 """
 
 from repro.bench import make_task
@@ -48,6 +53,32 @@ class TestNerMetropolis:
         assert cached_marginals == marginals
 
 
+class TestPerVariableScores:
+    """Every local score the fast path serves, per variable and per
+    value — not just the ones one seeded trajectory happens to draw.
+    Fitted weights are not exactly representable, so a summation that
+    differs in the last bit (builtin ``sum()`` is compensated from
+    Python 3.12 on) fails here even when no draw flips."""
+
+    def test_conditional_and_delta_bit_identical(self):
+        instance = make_task(400).make_instance(1)
+        instance.kernel.run(4000)  # Move the labels off the start world.
+        graph = instance.kernel.graph
+
+        def scores():
+            return [
+                (
+                    graph.local_conditional_scores(v),
+                    [graph.score_delta({v: value}) for value in v.domain],
+                )
+                for v in instance.model.variables
+            ]
+
+        fast = scores()
+        graph.set_caching(False)
+        assert fast == scores()
+
+
 class TestCorefDynamicTemplates:
     def _run(self, proposer_cls, cached: bool):
         db = build_mention_database(
@@ -86,10 +117,10 @@ class TestGibbs:
 
 
 class TestSampleRankInvalidation:
-    """Mid-run ``Weights.update`` calls must invalidate memoized scores:
-    if a stale score survived an update, the walk (and hence the
-    update sequence and final weights) would diverge from the uncached
-    reference."""
+    """Mid-run ``Weights.update`` calls must invalidate the scorers'
+    blanket caches through ``Weights.version``: a stale cached score
+    would change an update decision, and the weight trajectories would
+    diverge from the uncached reference."""
 
     def _train(self, cached: bool):
         task = make_task(500, steps_per_sample=100, weight_mode="zero")

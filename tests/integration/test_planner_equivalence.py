@@ -14,8 +14,8 @@ escape hatch —
   sampler: frozen groups must provably never move, and marginals must
   agree statistically.
 
-The matrix spans NER and coref, across plain, score-cache-off,
-vectorized-off, sharded and live (post-DML) execution.
+The matrix spans NER and coref, across plain, score-cache-off, sharded
+and live (post-DML) execution.
 """
 
 import statistics
@@ -81,10 +81,6 @@ class TestNerBitIdentity:
 
     def test_score_cache_off(self):
         off = lambda pipe: pipe.instance.kernel.graph.set_caching(False)
-        assert self._marginals(True, off) == self._marginals(False, off)
-
-    def test_vectorized_off(self):
-        off = lambda pipe: pipe.instance.kernel.graph.set_vectorized(False)
         assert self._marginals(True, off) == self._marginals(False, off)
 
     def test_sharded(self):
