@@ -1,20 +1,25 @@
-"""Vectorized scoring must be bit-identical to the dict path (ISSUE 9).
+"""The array scorers must be bit-identical to the pooled factor sum.
 
-Mirror of ``test_cache_equivalence.py`` one layer up: each test runs the
-same seeded inference twice — once with the array-backed local scorers
-enabled (the default) and once through the ``set_vectorized(False)``
-escape hatch — and asserts *exactly* equal results.  The vectorized
-path re-associates no sums and draws nothing from the RNG, so any
-divergence (a wrong slot, a stale blanket cache, an extra rounding
-step) fails these tests under ``==``, not ``approx``.
+With caching on, a variable whose adjacent factors all compile is scored
+by its ``LocalScorer``; any other variable is scored by summing its
+pooled adjacent factors.  ``test_cache_equivalence.py`` compares the
+whole fast path with ``set_caching(False)``; this file isolates the array
+layer.  Each test runs the same seeded inference twice with caching on —
+once compiling scorers as usual and once with every variable declared
+ineligible — and asserts *exactly* equal results.  The compiled run must
+actually build scorers, or the comparison would be vacuous.
 
 SampleRank is the adversarial case: it mutates the weights mid-walk, so
 a scorer holding on to stale dense values would silently corrupt the
-update sequence.  Coref exercises the dynamic-template fallback (no
-scorer is ever built there; the toggle must still be a no-op).
+update sequence.  Coref's dynamic templates must never reach the array
+layer at all.
 """
 
+import pytest
+
+import repro.fg.graph as graph_module
 from repro.bench import make_task
+from repro.fg import build_scorer
 from repro.ie.coref import (
     CorefModel,
     MoveMentionProposer,
@@ -30,10 +35,29 @@ from repro.mcmc.proposal import UniformLabelProposer
 QUERY = "SELECT COUNT(*) FROM TOKEN WHERE LABEL='B-PER'"
 
 
-def _ner_run(vectorized: bool):
+@pytest.fixture
+def scorers(monkeypatch):
+    """``scorers(compile)`` routes the graph's scorer compilation through
+    a recorder that compiles as usual (``True``) or declares every
+    variable ineligible (``False``); it returns the list of results."""
+
+    def use(compile_scorers: bool):
+        built = []
+
+        def record(variable, factors):
+            scorer = build_scorer(variable, factors) if compile_scorers else None
+            built.append(scorer)
+            return scorer
+
+        monkeypatch.setattr(graph_module, "build_scorer", record)
+        return built
+
+    return use
+
+
+def _ner_run():
     task = make_task(600, steps_per_sample=150)
     instance = task.make_instance(7)
-    instance.kernel.graph.set_vectorized(vectorized)
     evaluator = instance.evaluator([QUERY])
     evaluator.run(10)
     world = tuple(v.value for v in instance.model.variables)
@@ -45,49 +69,54 @@ def _ner_run(vectorized: bool):
 
 
 class TestNerMetropolis:
-    def test_marginals_bit_identical(self):
-        vec_world, vec_accepted, vec_marginals = _ner_run(True)
-        world, accepted, marginals = _ner_run(False)
-        assert vec_world == world
-        assert vec_accepted == accepted
-        assert vec_marginals == marginals
+    def test_marginals_bit_identical(self, scorers):
+        built = scorers(True)
+        array_world, array_accepted, array_marginals = _ner_run()
+        assert any(built)
+        scorers(False)
+        world, accepted, marginals = _ner_run()
+        assert array_world == world
+        assert array_accepted == accepted
+        assert array_marginals == marginals
 
 
 class TestCorefDynamicTemplates:
-    """Dynamic templates never vectorize; the toggle must change nothing."""
+    """Dynamic templates never compile a scorer."""
 
-    def _run(self, proposer_cls, vectorized: bool):
+    def _run(self, proposer_cls):
         db = build_mention_database(
             generate_mentions(6, mentions_per_entity=3, seed=4)
         )
         model = CorefModel(db)
-        model.graph.set_vectorized(vectorized)
         kernel = MetropolisHastings(
             model.graph, proposer_cls(model.variables), seed=11
         )
         kernel.run(2500)
         return tuple(v.value for v in model.variables), kernel.stats.accepted
 
-    def test_move_mention_bit_identical(self):
-        assert self._run(MoveMentionProposer, True) == self._run(
-            MoveMentionProposer, False
-        )
+    def _check(self, scorers, proposer_cls):
+        built = scorers(True)
+        array = self._run(proposer_cls)
+        assert built == []
+        scorers(False)
+        assert array == self._run(proposer_cls)
 
-    def test_split_merge_bit_identical(self):
-        assert self._run(SplitMergeProposer, True) == self._run(
-            SplitMergeProposer, False
-        )
+    def test_move_mention_bit_identical(self, scorers):
+        self._check(scorers, MoveMentionProposer)
+
+    def test_split_merge_bit_identical(self, scorers):
+        self._check(scorers, SplitMergeProposer)
 
 
 class TestGibbs:
-    def test_trajectory_bit_identical(self):
+    def test_trajectory_bit_identical(self, scorers):
         worlds = []
-        for vectorized in (True, False):
-            task = make_task(400, steps_per_sample=100)
-            instance = task.make_instance(3)
-            instance.kernel.graph.set_vectorized(vectorized)
+        for compile_scorers in (True, False):
+            built = scorers(compile_scorers)
+            instance = make_task(400, steps_per_sample=100).make_instance(3)
             sampler = GibbsSampler(instance.model.graph, seed=5)
             sampler.run(1200)
+            assert any(built) == compile_scorers
             worlds.append(tuple(v.value for v in instance.model.variables))
         assert worlds[0] == worlds[1]
 
@@ -96,13 +125,12 @@ class TestSampleRankMidRunUpdates:
     """Weight mutations mid-walk must invalidate the scorers' blanket
     caches through ``Weights.version``: a stale cached score would
     change an update decision, and the weight trajectories would
-    diverge from the dict reference."""
+    diverge from the factor-sum reference."""
 
-    def _train(self, vectorized: bool):
+    def _train(self):
         task = make_task(500, steps_per_sample=100, weight_mode="zero")
         instance = task.make_instance(2)
         weights = instance.model.weights
-        instance.model.graph.set_vectorized(vectorized)
         trainer = SampleRankTrainer(
             instance.model.graph,
             UniformLabelProposer(instance.model.variables),
@@ -119,30 +147,9 @@ class TestSampleRankMidRunUpdates:
             instance.model.accuracy_against_truth(),
         )
 
-    def test_training_bit_identical(self):
-        assert self._train(True) == self._train(False)
-
-
-class TestCrossToggleWithCaching:
-    """All four cache-layer combinations agree: (vectorized, caching)
-    in {on,off}² — the escape hatches compose."""
-
-    def _run(self, vectorized: bool, cached: bool):
-        task = make_task(400, steps_per_sample=100)
-        instance = task.make_instance(5)
-        instance.kernel.graph.set_caching(cached)
-        instance.kernel.graph.set_vectorized(vectorized)
-        instance.kernel.run(1500)
-        return (
-            tuple(v.value for v in instance.model.variables),
-            instance.kernel.stats.accepted,
-        )
-
-    def test_all_combinations_agree(self):
-        results = {
-            (vec, cached): self._run(vec, cached)
-            for vec in (True, False)
-            for cached in (True, False)
-        }
-        reference = results[(False, False)]
-        assert all(result == reference for result in results.values())
+    def test_training_bit_identical(self, scorers):
+        built = scorers(True)
+        array = self._train()
+        assert any(built)
+        scorers(False)
+        assert array == self._train()
