@@ -589,13 +589,14 @@ class Session:
 
     def explain(self, sql: str) -> str:
         """The planner's rendering of a SELECT: the plan that will run,
-        the rewrite trace, and — when any rule fired — the original
-        compiled tree for comparison."""
+        one ``access:`` line per primary-key read (e.g. ``access: TOKEN
+        by primary key (TOK_ID = 17)``), the rewrite trace, and — when
+        any rule fired — the original compiled tree for comparison."""
         self._check_open()
         key, kind, payload = self._route(sql)
         if kind != "query":
             raise QueryError(f"EXPLAIN applies to SELECT statements ({kind})")
-        return payload.explain()
+        return payload.explain(self.database)
 
     # ------------------------------------------------------------------
     # Execution

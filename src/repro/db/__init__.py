@@ -2,8 +2,8 @@
 
 The paper treats the DBMS as a blackbox that stores the single current
 possible world (it used Apache Derby over JDBC).  This package is that
-substrate, built from scratch: typed schemas, keyed tables with hash
-indexes, signed-multiset (Z-relation) algebra, a relational-algebra
+substrate, built from scratch: typed schemas, keyed tables,
+signed-multiset (Z-relation) algebra, a relational-algebra
 executor, a SQL front end, and — the part the paper's Algorithm 1
 leans on — incrementally maintained materialized views.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro.db.database import Database, Snapshot
 from repro.db.delta import Delta, DeltaRecorder
-from repro.db.index import HashIndex
 from repro.db.multiset import Multiset
 from repro.db.ra.ast import PlanNode
 from repro.db.ra.eval import evaluate, evaluate_rows
@@ -48,7 +47,6 @@ __all__ = [
     "Database",
     "Delta",
     "DeltaRecorder",
-    "HashIndex",
     "HashPartitioner",
     "KeyListPartitioner",
     "MaterializedView",

@@ -242,8 +242,7 @@ class Database:
         return db
 
     def clone(self, name: str | None = None) -> "Database":
-        """An independent copy of this database (rows only, no indexes,
-        no recorders)."""
+        """An independent copy of this database (rows only, no recorders)."""
         return Database.from_snapshot(self.snapshot(), name or f"{self.name}-clone")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -43,7 +43,7 @@ from repro.db.ra.ast import (
     Select,
     UnionAll,
 )
-from repro.db.ra.eval import zero_for
+from repro.db.ra.eval import evaluate, zero_for
 from repro.db.types import AttrType
 from repro.errors import PlanError
 
@@ -119,6 +119,8 @@ class _SelectMaintainer(Maintainer):
         self._predicate = plan.predicate.bind(plan.child.schema)
 
     def initialize(self, db: Database) -> Multiset:
+        if isinstance(self.plan.child, Scan):
+            return evaluate(self.plan, db)  # a primary-key probe when pinned
         return self.child.initialize(db).filter_rows(self._predicate)
 
     def apply(self, delta: Delta) -> Multiset:

@@ -6,6 +6,10 @@ answer as a :class:`~repro.db.multiset.Multiset`.  This is the query
 executor used by the naive evaluator of Algorithm 3 — the query is
 re-run from scratch on every sampled world.
 
+Besides the scan there is one access path: a ``Select`` over a
+``Scan`` whose conjuncts pin the table's whole primary key reads one
+row (:func:`key_probe`; view materialisation and DML use it too).
+
 The engine is NULL-free; aggregates over an empty global group yield
 type-appropriate zeros (documented in DESIGN.md).
 """
@@ -19,11 +23,16 @@ from repro.db.multiset import Multiset
 from repro.db.ra.ast import (
     AggLookup,
     AggregateSpec,
+    ColumnRef,
+    Comparison,
+    Compiled,
     CrossProduct,
     Distinct,
+    Expr,
     GroupAggregate,
     Join,
     Limit,
+    Literal,
     OrderBy,
     PlanNode,
     Project,
@@ -31,10 +40,21 @@ from repro.db.ra.ast import (
     Select,
     UnionAll,
 )
+from repro.db.ra.rules import split_conjuncts
+from repro.db.schema import Schema
+from repro.db.table import Table
 from repro.db.types import AttrType
 from repro.errors import PlanError
 
-__all__ = ["evaluate", "evaluate_rows", "compute_aggregates", "zero_for"]
+__all__ = [
+    "evaluate",
+    "evaluate_rows",
+    "compute_aggregates",
+    "zero_for",
+    "key_probe",
+    "probe_rows",
+    "access_paths",
+]
 
 Row = Tuple[Any, ...]
 
@@ -70,8 +90,13 @@ def _evaluate(plan: PlanNode, db: Database, memo: Memo) -> Multiset:
         return db.table(plan.table_name).as_multiset()
 
     if isinstance(plan, Select):
-        child = evaluate(plan.child, db, memo)
         predicate = plan.predicate.bind(plan.child.schema)
+        if isinstance(plan.child, Scan):
+            table = db.table(plan.child.table_name)
+            rows = probe_rows(table, plan.child.schema, plan.predicate, predicate)
+            if rows is not None:
+                return Multiset(rows)
+        child = evaluate(plan.child, db, memo)
         return child.filter_rows(predicate)
 
     if isinstance(plan, Project):
@@ -126,6 +151,64 @@ def evaluate_rows(plan: PlanNode, db: Database) -> list[Row]:
             rows.sort(key=fn, reverse=descending)
         return rows
     return sorted(evaluate(plan, db))
+
+
+# ----------------------------------------------------------------------
+# Primary-key access path
+# ----------------------------------------------------------------------
+def key_probe(predicate: Expr, schema: Schema, table_schema: Schema) -> Row | None:
+    """The primary-key value ``predicate`` pins, or ``None`` to scan.
+
+    ``predicate`` binds against ``schema`` (a ``Scan``'s or the table's
+    own; both list the table's columns in order).  The key is pinned
+    when ``AND``-ed conjuncts ``col = lit`` / ``lit = col`` cover every
+    key column.  Literals are kept as written, so the dict lookup finds
+    exactly what ``==`` would (``17.0`` finds 17, ``'17'`` nothing).
+    Callers apply the whole predicate to the probed row, so residual
+    and contradictory conjuncts filter it exactly as a scan would.
+    """
+    if not table_schema.key:
+        return None
+    pinned: Dict[int, Any] = {}
+    for term in split_conjuncts(predicate):
+        if not (isinstance(term, Comparison) and term.op == "="):
+            continue
+        if isinstance(term.left, ColumnRef) and isinstance(term.right, Literal):
+            column, literal = term.left, term.right
+        elif isinstance(term.left, Literal) and isinstance(term.right, ColumnRef):
+            column, literal = term.right, term.left
+        else:
+            continue
+        pinned.setdefault(column._resolve(schema), literal.value)
+    positions = [table_schema.position(name) for name in table_schema.key]
+    if not all(p in pinned for p in positions):
+        return None
+    return tuple(pinned[p] for p in positions)
+
+
+def probe_rows(
+    table: Table, schema: Schema, predicate: Expr, bound: Compiled
+) -> list[Row] | None:
+    """The rows of ``table`` satisfying ``predicate`` (compiled as
+    ``bound``) read by one key probe, or ``None`` to scan instead."""
+    pk = key_probe(predicate, schema, table.schema)
+    if pk is None:
+        return None
+    row = table.find(pk)
+    return [row] if row is not None and bound(row) else []
+
+
+def access_paths(plan: PlanNode, db: Database) -> list[str]:
+    """EXPLAIN's ``access:`` line for each ``Select`` in ``plan`` that
+    :func:`key_probe` serves by primary key."""
+    lines = [line for child in plan.children() for line in access_paths(child, db)]
+    if isinstance(plan, Select) and isinstance(plan.child, Scan):
+        table_schema = db.table(plan.child.table_name).schema
+        pk = key_probe(plan.predicate, plan.child.schema, table_schema)
+        if pk is not None:
+            bound = ", ".join(f"{k} = {v!r}" for k, v in zip(table_schema.key, pk))
+            lines.append(f"access: {table_schema.name} by primary key ({bound})")
+    return list(dict.fromkeys(lines))
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.db.database import Database
 from repro.db.ra.ast import PlanNode
+from repro.db.ra.eval import access_paths
 from repro.db.ra.rules import (
     DEFAULT_RULES,
     OnApply,
@@ -73,10 +75,14 @@ class PlannedQuery:
         """The tree to execute: rewritten, or the raw escape hatch."""
         return self.plan if optimize else self.raw
 
-    def explain(self) -> str:
+    def explain(self, db: Optional[Database] = None) -> str:
         """A human-readable planning report: the optimized tree, the
-        rewrite trace, and (when anything changed) the original tree."""
+        access path of each primary-key read against ``db`` (when
+        given), the rewrite trace, and (when anything changed) the
+        original tree."""
         lines = ["plan:", _indent(self.plan.describe())]
+        if db is not None:
+            lines.extend(access_paths(self.plan, db))
         if not self.trace:
             lines.append("rewrites: (none)")
             return "\n".join(lines)

@@ -15,6 +15,7 @@ from typing import Any, List, Tuple
 from repro.db.database import Database
 from repro.db.delta import Delta
 from repro.db.ra.ast import Expr
+from repro.db.ra.eval import probe_rows
 from repro.db.schema import Attribute, Schema
 from repro.db.sql.ast import (
     CreateTableStmt,
@@ -157,6 +158,9 @@ def _matching_rows(table, where: Expr | None) -> List[Row]:
     if where is None:
         return list(table.rows())
     predicate = where.bind(table.schema)
+    rows = probe_rows(table, table.schema, where, predicate)
+    if rows is not None:
+        return rows
     return [row for row in table.rows() if predicate(row)]
 
 

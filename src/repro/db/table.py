@@ -1,4 +1,4 @@
-"""Tables: keyed row storage with secondary indexes.
+"""Tables: keyed row storage.
 
 A :class:`Table` stores the rows of one relation in the *current
 possible world*.  Tables with a primary key store ``pk → row``; keyless
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
-from repro.db.index import HashIndex
 from repro.db.multiset import Multiset
 from repro.db.schema import Schema
 from repro.errors import IntegrityError, SchemaError
@@ -26,14 +25,13 @@ MutationListener = Callable[[str, str, Row, Row | None], None]
 
 
 class Table:
-    """Rows of one relation plus its secondary indexes."""
+    """Rows of one relation in the current possible world."""
 
     def __init__(self, schema: Schema, listener: MutationListener | None = None):
         self.schema = schema
         self._listener = listener
         self._rows: Dict[Key, Row] = {}
         self._bag: Multiset | None = None if schema.key else Multiset()
-        self._indexes: Dict[Tuple[str, ...], HashIndex] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -69,6 +67,10 @@ class Table:
                 f"no row with key {tuple(pk)!r} in table {self.name!r}"
             ) from None
 
+    def find(self, pk: Key) -> Row | None:
+        """The row with primary key ``pk``, or ``None`` if absent."""
+        return self._rows.get(pk)
+
     def contains_key(self, pk: Sequence[Any]) -> bool:
         self._require_key()
         return tuple(pk) in self._rows
@@ -80,39 +82,6 @@ class Table:
     def _require_key(self) -> None:
         if not self.schema.key:
             raise IntegrityError(f"table {self.name!r} has no primary key")
-
-    # ------------------------------------------------------------------
-    # Indexes
-    # ------------------------------------------------------------------
-    def create_index(self, attr_names: Sequence[str]) -> HashIndex:
-        """Create (or return) a hash index over ``attr_names``."""
-        self._require_key()
-        key = tuple(a.lower() for a in attr_names)
-        if key in self._indexes:
-            return self._indexes[key]
-        index = HashIndex(self.schema, attr_names)
-        for pk, row in self._rows.items():
-            index.insert(row, pk)
-        self._indexes[key] = index
-        return index
-
-    def index_for(self, attr_names: Sequence[str]) -> HashIndex | None:
-        """An existing index over exactly ``attr_names``, if any."""
-        return self._indexes.get(tuple(a.lower() for a in attr_names))
-
-    def lookup(self, attr_names: Sequence[str], values: Sequence[Any]) -> Iterator[Row]:
-        """Rows whose ``attr_names`` equal ``values``; uses an index when
-        one exists, otherwise scans."""
-        index = self.index_for(attr_names)
-        if index is not None:
-            for pk in index.lookup(values):
-                yield self._rows[pk]
-            return
-        positions = [self.schema.position(a) for a in attr_names]
-        target = tuple(values)
-        for row in self.rows():
-            if tuple(row[p] for p in positions) == target:
-                yield row
 
     # ------------------------------------------------------------------
     # Mutation
@@ -129,8 +98,6 @@ class Table:
                     f"duplicate primary key {pk!r} in table {self.name!r}"
                 )
             self._rows[pk] = stored
-            for index in self._indexes.values():
-                index.insert(stored, pk)
         if self._listener is not None:
             self._listener("insert", self.name, stored, None)
         return stored
@@ -145,8 +112,6 @@ class Table:
         row = self._rows.pop(key, None)
         if row is None:
             raise IntegrityError(f"no row with key {key!r} in table {self.name!r}")
-        for index in self._indexes.values():
-            index.delete(row, key)
         if self._listener is not None:
             self._listener("delete", self.name, row, None)
         return row
@@ -184,9 +149,6 @@ class Table:
         if new_row == old_row:
             return old_row, new_row
         self._rows[key] = new_row
-        for index in self._indexes.values():
-            index.delete(old_row, key)
-            index.insert(new_row, key)
         if self._listener is not None:
             self._listener("update", self.name, old_row, new_row)
         return old_row, new_row
@@ -202,10 +164,6 @@ class Table:
             return
         rows_map = self._rows
         self._rows = {}
-        for index_key in list(self._indexes):
-            self._indexes[index_key] = HashIndex(
-                self.schema, self._indexes[index_key].attr_names
-            )
         if self._listener is not None:
             for row in rows_map.values():
                 self._listener("delete", self.name, row, None)
@@ -221,17 +179,13 @@ class Table:
         return count
 
     def clone_into(self, other: "Table") -> None:
-        """Copy all rows (not indexes) into ``other`` without notifications."""
+        """Copy all rows into ``other`` without notifications."""
         if other.schema != self.schema:
             raise SchemaError("clone target has a different schema")
         if self._bag is not None:
             other._bag = self._bag.copy()
         else:
             other._rows = dict(self._rows)
-            for attrs, _ in list(other._indexes.items()):
-                other._indexes[attrs] = HashIndex(other.schema, attrs)
-                for pk, row in other._rows.items():
-                    other._indexes[attrs].insert(row, pk)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name}, {len(self)} rows)"

@@ -1,4 +1,4 @@
-"""Tests for tables, indexes, deltas and the database container."""
+"""Tests for tables, deltas and the database container."""
 
 import pytest
 
@@ -73,24 +73,6 @@ class TestTable:
         db.insert("TOKEN", (2, 0, "b", "O"))
         ms = db.table("TOKEN").as_multiset()
         assert ms == Multiset([(1, 0, "a", "O"), (2, 0, "b", "O")])
-
-    def test_index_lookup(self):
-        db = make_db()
-        table = db.table("TOKEN")
-        table.insert((1, 0, "a", "O"))
-        table.create_index(["LABEL"])
-        table.insert((2, 0, "b", "B-PER"))
-        assert sorted(table.lookup(["LABEL"], ["B-PER"])) == [(2, 0, "b", "B-PER")]
-        table.update((1,), {"LABEL": "B-PER"})
-        assert len(list(table.lookup(["LABEL"], ["B-PER"]))) == 2
-        table.delete((2,))
-        assert len(list(table.lookup(["LABEL"], ["B-PER"]))) == 1
-
-    def test_lookup_without_index_scans(self):
-        db = make_db()
-        table = db.table("TOKEN")
-        table.insert((1, 0, "a", "O"))
-        assert list(table.lookup(["STRING"], ["a"])) == [(1, 0, "a", "O")]
 
     def test_keyless_table_bag_semantics(self):
         db = Database()
