@@ -1,6 +1,7 @@
 """RL003 — RNG discipline: no ambient randomness in the library.
 
-Every benchmark number in this repo (BENCH_*.json), every bit-identity
+Every count the ``benchmarks/e2e`` ledger repeats exactly for one seed
+(``half_at_samples``, walk-steps, accepted proposals), every bit-identity
 equivalence test (cached vs uncached scoring, sharded vs unsharded,
 repaired vs rebuilt graphs) and the multiprocess backend's
 "identical pooled marginals for fixed seeds" contract depend on one

@@ -663,8 +663,8 @@ class Session:
         restriction.  The optimizer preserves answers (bit-identical
         deterministic results and, for unoptimized-equivalent plans,
         bit-identical marginals under the same seed), so the flag
-        exists for debugging and for A/B-measuring the planner itself
-        (:mod:`benchmarks.bench_query_planner` does exactly that).
+        exists for debugging and as the reference the planner
+        equivalence tests compare against.
 
         ``resilience`` supervises the run's chain workers
         (:class:`~repro.resilience.ResilienceConfig`): they checkpoint

@@ -767,10 +767,7 @@ class ProcessPoolBackend(ChainBackend):
         try:
             worker.conn.send(command)
         except (BrokenPipeError, OSError) as exc:
-            failure = WorkerCrashError(
-                f"chain worker {worker.index} is gone (pipe closed: {exc!r})",
-                worker_index=worker.index,
-            )
+            failure = self._crash_error(worker, f"is gone (pipe closed: {exc!r})")
             # _recover leaves the current command dispatched to the
             # replacement worker, so the gather loop proceeds normally.
             self._recover(worker, failure)
@@ -842,21 +839,9 @@ class ProcessPoolBackend(ChainBackend):
                     return worker.conn.recv()
                 # EOFError on orderly close; OSError (e.g.
                 # ConnectionResetError) when the worker was killed with
-                # the pipe mid-write.  A dead process gets its exit
-                # code attached; a wedged-alive one (dropped pipe)
-                # reports None.
+                # the pipe mid-write.
                 except (EOFError, OSError):
-                    worker.process.join(timeout=0.5)
-                    exit_code = worker.process.exitcode
-                    detail = (
-                        f" (exit code {exit_code})" if exit_code is not None else ""
-                    )
-                    raise WorkerCrashError(
-                        f"chain worker {worker.index} exited "
-                        f"unexpectedly{detail}",
-                        worker_index=worker.index,
-                        exit_code=exit_code,
-                    ) from None
+                    raise self._crash_error(worker, "exited unexpectedly") from None
             if not worker.process.is_alive():
                 # Drain messages sent just before death (the pipe buffer
                 # outlives the process), then report.
@@ -865,12 +850,21 @@ class ProcessPoolBackend(ChainBackend):
                         return worker.conn.recv()
                     except (EOFError, OSError):
                         pass
-                raise WorkerCrashError(
-                    f"chain worker {worker.index} died "
-                    f"(exit code {worker.process.exitcode})",
-                    worker_index=worker.index,
-                    exit_code=worker.process.exitcode,
-                )
+                raise self._crash_error(worker, "died")
+
+    @staticmethod
+    def _crash_error(worker: _WorkerHandle, what: str) -> WorkerCrashError:
+        """The typed failure for a worker found gone.  A dead process is
+        reaped briefly so its exit code is attached; a wedged-alive one
+        (dropped pipe) reports None."""
+        worker.process.join(timeout=0.5)
+        exit_code = worker.process.exitcode
+        detail = f" (exit code {exit_code})" if exit_code is not None else ""
+        return WorkerCrashError(
+            f"chain worker {worker.index} {what}{detail}",
+            worker_index=worker.index,
+            exit_code=exit_code,
+        )
 
     def _store_checkpoint(self, worker: _WorkerHandle, message) -> None:
         _, seq, local_runs, records_done, initial_recorded, steps, payload, cpu = (

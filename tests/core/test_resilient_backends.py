@@ -189,12 +189,16 @@ class TestTypedFailures:
         assert "silence" in str(err.value)
         assert backend.closed
 
-    def test_external_sigkill_without_resilience_reports_exit_code(self):
+    @pytest.mark.parametrize("reaped", [False, True])
+    def test_external_sigkill_without_resilience_reports_exit_code(self, reaped):
         # Pre-resilience contract unchanged: no config means crash =
-        # typed raise, with the process exit code attached.
+        # typed raise, with the process exit code attached — also when
+        # the worker is reaped first, so run()'s send is what fails.
         backend = ProcessPoolBackend()
         backend.start(SeededFactory(21), 1, [QUERY])
         os.kill(backend.worker_pids()[0], signal.SIGKILL)
+        if reaped:
+            backend._workers[0].process.join()
         with pytest.raises(WorkerCrashError) as err:
             backend.run(5)
         assert err.value.exit_code == -signal.SIGKILL
