@@ -18,7 +18,10 @@ Scoring has two paths behind one switch, :meth:`set_caching`:
   :meth:`local_conditional_scores`) into array lookups over the dense
   weight list.  Variables whose adjacency offers no purity contract,
   dynamic templates and multi-variable proposals are scored by summing
-  the (pooled) adjacent factors;
+  the (pooled) adjacent factors.  A model subclass may serve its own
+  proposals faster while caching is on: coref's
+  :class:`~repro.ie.coref.model.CorefGraph` scores single-mention moves
+  from a per-weights-version pair-score table;
 * the **reference path** (``set_caching(False)``) re-instantiates and
   re-scores every adjacent factor on every call.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.db.database import Database
 from repro.db.delta import Delta
@@ -151,7 +151,7 @@ class CorefModel:
                 ]
 
         self.templates = self._build_templates(use_repulsion)
-        self.graph = FactorGraph(self.variables, self.templates)
+        self.graph = CorefGraph(self, self.templates)
 
     # ------------------------------------------------------------------
     def string_of(self, variable: HiddenVariable) -> str:
@@ -192,9 +192,11 @@ class CorefModel:
         updates re-sync the in-memory world (evidence assignment);
         TRUTH updates only adjust the gold partition.
 
-        Both templates are *dynamic*, so no factor caches exist to
-        invalidate — repair reduces to membership and candidate-list
-        maintenance.  Mention-id ordering is preserved, so the repaired
+        Both templates are *dynamic*, so repair reduces to membership
+        and candidate-list maintenance; the graph's pair-score table is
+        emptied by the ``remove_variables``/``add_variables`` calls (a
+        STRING update keeps the variable's name but not its string).
+        Mention-id ordering is preserved, so the repaired
         graph scores bit-identically to a model rebuilt over the
         updated relation (given the same domain).
         """
@@ -332,11 +334,13 @@ class CorefModel:
 
     def _build_templates(self, use_repulsion: bool):
         # Both neighbourhoods depend on the current cluster values, so
-        # the factor *set* changes under a proposal: dynamic=True makes
-        # the MH kernel re-instantiate factors after the change, and
-        # stable_features=False (the dynamic default, spelled out here)
-        # keeps them off the array scorer — factor instances are
-        # transient, so there is no fixed adjacency to compile.
+        # the factor *set* changes under a proposal: dynamic=True sends
+        # multi-mention proposals (and set_caching(False)) through the
+        # reference's re-instantiating path, and stable_features=False
+        # (the dynamic default, spelled out here) keeps them off the
+        # array scorer.  Single-mention moves are served by CorefGraph's
+        # pair-score table instead: a factor's score is a function of
+        # the two mentions' strings only, whatever the factor set.
         templates = [
             PairwiseTemplate(
                 AFFINITY,
@@ -359,6 +363,114 @@ class CorefModel:
                 )
             )
         return templates
+
+
+class CorefGraph(FactorGraph):
+    """The clustering graph, with its own path for single-mention moves.
+
+    A pair factor's score depends only on the two mentions' strings,
+    never on their cluster values, so while caching is on each
+    ``(template, mention pair)`` score is computed once per weights
+    version and kept in a table; a move's delta is then two masked row
+    sums over it.  Multi-mention proposals (split/merge) and
+    ``set_caching(False)`` take the inherited reference path, which this
+    one matches bit for bit.  The table is emptied by ``set_caching``,
+    ``clear_caches``, ``invalidate_adjacency`` (every live repair goes
+    through it) and a weights version change, and is left out of pickles.
+    """
+
+    def __init__(self, model: CorefModel, templates: List[PairwiseTemplate]):
+        super().__init__(model.variables, templates)
+        self._model = model
+        # (template index, lesser name, greater name) -> factor score
+        self._pair_scores: Dict[Tuple[int, Hashable, Hashable], float] = {}
+        self._pair_version = model.weights.version
+
+    def set_caching(self, enabled: bool) -> None:
+        super().set_caching(enabled)
+        self._pair_scores.clear()
+
+    def clear_caches(self) -> None:
+        super().clear_caches()
+        self._pair_scores.clear()
+
+    def invalidate_adjacency(
+        self, variables: Iterable[Any], scan: bool = True
+    ) -> None:
+        super().invalidate_adjacency(variables, scan)
+        self._pair_scores.clear()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = super().__getstate__()
+        state["_pair_scores"] = {}
+        return state
+
+    def score_delta(self, changes: Dict[HiddenVariable, Any]) -> float:
+        if len(changes) != 1 or not self._cache_enabled:
+            return super().score_delta(changes)
+        [(mover, new)] = changes.items()
+        new = mover.domain.validate(new)  # The reference's set_value raises too.
+        old = mover.value
+        model = self._model
+        if model.weights.version != self._pair_version:
+            self._pair_scores.clear()
+            self._pair_version = model.weights.version
+        # after - before, each side one running += in the order the
+        # reference's factors_touching yields: affinity over same-cluster
+        # mates in model.variables order, then repulsion over the
+        # mover's candidates in other clusters.  The reference's
+        # existence checks on vanished and appeared factors are provably
+        # empty here: "same cluster" is symmetric, and candidate lists
+        # are symmetric because they are built per surname block and
+        # repair_from_delta rebuilds every member of an affected block.
+        # So a factor that leaves (or joins) the mover's side leaves (or
+        # joins) its partner's side too.  (``_value`` is read directly,
+        # as the MH kernel does.)
+        pairs = self._pair_scores
+        name = mover.name
+        before = after = 0.0
+        for other in model.variables:
+            value = other._value
+            if (value == old or value == new) and other is not mover:
+                key = (
+                    (0, name, other.name) if name < other.name
+                    else (0, other.name, name)
+                )
+                score = pairs.get(key)
+                if score is None:
+                    score = self._pair_score(key, mover, other)
+                if value == old:
+                    before += score
+                if value == new:
+                    after += score
+        if len(self.templates) > 1:
+            for other in model._candidates.get(name, ()):
+                value = other._value
+                key = (
+                    (1, name, other.name) if name < other.name
+                    else (1, other.name, name)
+                )
+                score = pairs.get(key)
+                if score is None:
+                    score = self._pair_score(key, mover, other)
+                if value != old:
+                    before += score
+                if value != new:
+                    after += score
+        return after - before
+
+    def _pair_score(
+        self, key: Tuple[int, Hashable, Hashable], a: HiddenVariable, b: HiddenVariable
+    ) -> float:
+        """Compute and store the score of template ``key[0]``'s factor
+        over ``a`` and ``b``: the reference factor's ``weights.dot`` on
+        the same canonically ordered endpoints."""
+        first, second = (a, b) if repr(a.name) <= repr(b.name) else (b, a)
+        score = self._pair_scores[key] = self._model.weights.dot(
+            self.templates[key[0]].name,
+            self._model._affinity_features(first, second),
+        )
+        return score
 
 
 def pairwise_f1(predicted: Set[FrozenSet], gold: Set[FrozenSet]) -> float:

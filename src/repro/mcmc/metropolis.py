@@ -142,9 +142,10 @@ class MetropolisHastings:
 
         # Score through the graph's what-if machinery: static models
         # instantiate the adjacent factor set once and score it under
-        # both worlds; dynamic models (coref cluster membership) score
-        # the union of the before/after adjacent sets so factors that
-        # appear or vanish with the change contribute symmetrically.
+        # both worlds; generic dynamic models score the union of the
+        # before/after adjacent sets so factors that appear or vanish
+        # with the change contribute symmetrically.  Coref's graph
+        # serves single-mention moves from its pair-score table.
         log_alpha = self.graph.score_delta(changes) / self.temperature
         log_alpha += proposal.log_backward - proposal.log_forward
         accepted = log_alpha >= 0 or math.log(self.rng.random()) < log_alpha

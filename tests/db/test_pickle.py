@@ -108,3 +108,42 @@ class TestSharedIdentity:
         assert db2.table("CITY").get(("Amherst",)) == ("Amherst", 9999)
         # The original is untouched (true copy, not shared state).
         assert db.table("CITY").get(("Amherst",)) == ("Amherst", 40)
+
+
+class TestCorefChainPickle:
+    def test_warm_chain_resumes_bit_identically_without_pair_table(self):
+        """A coref chain pickled mid-walk carries no pair-score table
+        (it is derived state) and continues exactly as the original."""
+        from repro.ie.coref import (
+            CorefModel,
+            MoveMentionProposer,
+            build_mention_database,
+            generate_mentions,
+        )
+        from repro.mcmc import MetropolisHastings
+        from repro.mcmc.chain import MarkovChain
+
+        db = build_mention_database(
+            generate_mentions(6, mentions_per_entity=3, seed=4)
+        )
+        model = CorefModel(db)
+        kernel = MetropolisHastings(
+            model.graph, MoveMentionProposer(model.variables), seed=3
+        )
+        chain = MarkovChain(kernel, 10)
+        kernel.run(2000)
+        assert model.graph._pair_scores
+        db2, chain2 = pickle.loads(pickle.dumps((db, chain)))
+        assert chain2.kernel.graph._pair_scores == {}
+
+        def walk(chain):
+            steps = [chain.kernel.step() for _ in range(2000)]
+            return (
+                [(s.accepted, s.log_acceptance) for s in steps],
+                [v.value for v in chain.kernel.graph.variables],
+            )
+
+        assert walk(chain2) == walk(chain)
+        assert sorted(db2.table("MENTION").rows()) == sorted(
+            db.table("MENTION").rows()
+        )

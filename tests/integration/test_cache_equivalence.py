@@ -8,20 +8,26 @@ The fast path re-associates no sums and draws nothing from the RNG, so
 any divergence (a wrong slot, a stale blanket cache, a different
 summation order) fails these tests under ``==``, not ``approx``.
 
-Coref exercises dynamic templates, which never get a scorer: the switch
-must change nothing there.  SampleRank is the adversarial case: it
-mutates the weights mid-walk, so a scorer holding on to stale dense
-values would silently change the update sequence.
+Coref exercises dynamic templates, which never get an array scorer:
+its single-mention moves are served from a pair-score table instead,
+and split/merge proposals take the reference path either way.  The
+table must be emptied by every weight change and live repair, or a
+stale pair score would change the walk.  SampleRank is the adversarial
+case for the array scorers: it mutates the weights mid-walk, so a
+scorer holding on to stale dense values would silently change the
+update sequence.
 """
 
 from repro.bench import make_task
 from repro.ie.coref import (
     CorefModel,
+    CorefPipeline,
     MoveMentionProposer,
     SplitMergeProposer,
     build_mention_database,
     generate_mentions,
 )
+from repro.ie.coref.model import AFFINITY, REPULSION
 from repro.learn.objective import HammingObjective
 from repro.learn.samplerank import SampleRankTrainer
 from repro.mcmc import GibbsSampler, MetropolisHastings
@@ -100,6 +106,53 @@ class TestCorefDynamicTemplates:
     def test_split_merge_bit_identical(self):
         assert self._run(SplitMergeProposer, True) == self._run(
             SplitMergeProposer, False
+        )
+
+
+class TestCorefPerValueScores:
+    """The coref twin of :class:`TestPerVariableScores`: every
+    single-mention delta the pair-score table serves, for every mention
+    and every cluster id, on a warm chain and again after each event
+    that must empty the table — a weight change on either template and
+    each kind of live repair.  The table is full when each event
+    happens, so a missed eviction serves a stale pair score here."""
+
+    def test_deltas_bit_identical_across_weight_changes_and_repairs(self):
+        pipeline = CorefPipeline(
+            num_entities=6, mentions_per_entity=3, seed=4, steps_per_sample=50
+        )
+        model, session = pipeline.model, pipeline.session
+        pipeline.kernel.run(3000)  # Move the clusters off the singletons.
+
+        def deltas():
+            return [
+                [model.graph.score_delta({m: c}) for c in m.domain]
+                for m in model.variables
+            ]
+
+        def check():
+            fast = deltas()
+            model.graph.set_caching(False)
+            assert fast == deltas()
+            model.graph.set_caching(True)
+            deltas()  # Refill the table before the next event.
+
+        check()
+        model.weights.set(AFFINITY, "last-mismatch", -2.9)
+        check()
+        model.weights.set(REPULSION, "last-match", -1.3)
+        check()
+        # Mentions 0-17 (seed 4): 7 is "John Brown", 15-17 the Millers.
+        for statement in (
+            "INSERT INTO MENTION VALUES (18, 'P. Brown', 18, 2)",
+            "UPDATE MENTION SET STRING = 'John Miller' WHERE MENTION_ID = 7",
+            "UPDATE MENTION SET CLUSTER = 5 WHERE MENTION_ID = 12",
+            "DELETE FROM MENTION WHERE MENTION_ID = 9",
+        ):
+            session.execute(statement)
+            check()
+        assert model.string_of(model.graph.find(("MENTION", (7,), "CLUSTER"))) == (
+            "John Miller"
         )
 
 

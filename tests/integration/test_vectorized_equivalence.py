@@ -12,7 +12,8 @@ actually build scorers, or the comparison would be vacuous.
 SampleRank is the adversarial case: it mutates the weights mid-walk, so
 a scorer holding on to stale dense values would silently corrupt the
 update sequence.  Coref's dynamic templates must never reach the array
-layer at all.
+layer at all: coref scores its moves from its own pair-score table,
+which ``test_cache_equivalence.py`` checks against the reference.
 """
 
 import pytest
@@ -81,7 +82,7 @@ class TestNerMetropolis:
 
 
 class TestCorefDynamicTemplates:
-    """Dynamic templates never compile a scorer."""
+    """Dynamic templates never compile an array scorer."""
 
     def _run(self, proposer_cls):
         db = build_mention_database(
