@@ -24,12 +24,18 @@ an invalidator covers every exit of its ``try``.
 
 ``__init__``/``__getstate__``/``__setstate__`` are exempt: they build
 or serialize fresh state, with nothing cached against it yet.
+
+A spec may also name *index* attributes — a pair template's endpoint
+index of its pool, which removals trust to find every pooled pair — and
+the only methods allowed to write them (those that create or evict pool
+entries).  A write anywhere else is a finding: an index edited apart
+from its pool lets a removal miss a stale entry.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
 from repro.analysis.astutil import self_attribute, walk_calls
@@ -50,6 +56,8 @@ class _GuardSpec:
     attrs: Set[str]
     invalidators: Set[str]
     version_attr: Optional[str] = None
+    index_attrs: Set[str] = field(default_factory=set)
+    index_writers: Set[str] = field(default_factory=set)
 
     def describe_invalidators(self) -> str:
         names = sorted(self.invalidators)
@@ -70,6 +78,10 @@ _WEIGHTS = _GuardSpec(
 _TEMPLATE = _GuardSpec(
     attrs={"weights", "_feature_fn", "_neighbors_fn"},
     invalidators={"clear_cache", "invalidate", "set_caching", "evict_pair"},
+    index_attrs={"_partners"},
+    index_writers={
+        "clear_cache", "invalidate", "evict_pair", "_instantiate", "_unlink",
+    },
 )
 
 BY_CLASS = {"FactorGraph": _FACTOR_GRAPH, "Weights": _WEIGHTS}
@@ -138,6 +150,8 @@ class CacheInvalidationRule(Rule):
         self._spec = spec
         self._method = getattr(node, "name", "<method>")
         self._finally_cover = 0
+        if self._method not in spec.index_writers:
+            self._check_index_writes(node)
         state = self._process_block(getattr(node, "body", []), _State())
         self._check_exit(node, state, "falls off the end")
 
@@ -169,6 +183,37 @@ class CacheInvalidationRule(Rule):
                 if attr is not None and attr in spec.attrs:
                     return attr
         return None
+
+    def _check_index_writes(self, node: ast.AST) -> None:
+        """Report every write to an index attribute in this method."""
+        attrs = self._spec.index_attrs
+        for child in ast.walk(node):
+            written: Optional[str] = None
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.Delete)):
+                targets = (
+                    [child.target]
+                    if isinstance(child, ast.AugAssign)
+                    else child.targets
+                )
+                for target in targets:
+                    while isinstance(target, ast.Subscript):
+                        target = target.value
+                    written = written or self_attribute(target)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in MUTATING_METHODS
+            ):
+                written = self_attribute(child.func.value)
+            if written in attrs:
+                self.report(
+                    child,
+                    f"writes self.{written} outside "
+                    f"{'/'.join(sorted(self._spec.index_writers))} — an "
+                    "index edited apart from its pool lets a removal miss "
+                    "a stale entry",
+                    symbol=f"{self.class_stack[-1].name}.{self._method}",
+                )
 
     def _invalidates(self, node: ast.AST) -> bool:
         spec = self._spec

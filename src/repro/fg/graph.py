@@ -63,7 +63,7 @@ from typing import (
 
 from repro.errors import GraphError
 from repro.fg.factors import Factor
-from repro.fg.templates import Template, dedup_factors
+from repro.fg.templates import Template, _references, dedup_factors
 from repro.fg.variables import HiddenVariable
 from repro.fg.vectorized import LocalScorer, build_scorer
 
@@ -197,53 +197,47 @@ class FactorGraph:
         """Drop cached adjacency and pooled factor instances for the
         given variables (or names) only — the targeted counterpart of
         :meth:`clear_caches` used by live repair, so a DML-driven edit
-        costs O(touched) instead of rebuilding every cache.
+        costs O(neighbourhood) instead of rebuilding every cache.
 
-        With ``scan=True`` (the safe default), any *cached* entry that
-        still references an invalidated variable is evicted too (a
-        removed variable's former partners cannot keep serving factors
-        over it) — an O(cached entries) sweep.  Pure additions pass
-        ``scan=False``: a factor over a brand-new variable cannot
-        appear in any cache built before it existed, so the named pops
-        suffice.  Callers must still name variables whose neighbourhood
-        *gained* a factor — a stale cache cannot reference a variable
-        it has never seen.
+        With ``scan=True`` (the safe default), cached entries of the
+        variables' partners (:meth:`Template.partners`, asked of every
+        template before it invalidates) that still reference an
+        invalidated variable are evicted too: a removed variable's
+        former partners cannot keep serving factors over it.  Pure
+        additions pass ``scan=False``: a factor over a brand-new
+        variable cannot appear in any cache built before it existed, so
+        the named pops suffice.  Callers must still name variables whose
+        neighbourhood *gained* a factor — a stale cache cannot reference
+        a variable it has never seen.
         """
         names = {getattr(v, "name", v) for v in variables}
         if not names:
             return
-        for name in names:
-            self._static_adjacency.pop(name, None)
-            self._flat_adjacency.pop(name, None)
-            self._scorers.pop(name, None)
+        partners: Set[Hashable] = set()
         if scan:
-            stale = [
-                key
-                for key, flat in self._flat_adjacency.items()
-                if any(v.name in names for f in flat for v in f.variables)
-            ]
-            for key in stale:
-                del self._flat_adjacency[key]
-            stale = [
-                key
-                for key, scorer in self._scorers.items()
-                if scorer is not None and not scorer.names.isdisjoint(names)
-            ]
-            for key in stale:
-                del self._scorers[key]
-            stale = [
-                key
-                for key, entry in self._static_adjacency.items()
-                if any(
-                    v.name in names
-                    for factors in entry
-                    if factors
-                    for f in factors
-                    for v in f.variables
-                )
-            ]
-            for key in stale:
-                del self._static_adjacency[key]
+            for template in self.templates:
+                for name in names:
+                    partners.update(template.partners(name))
+            partners -= names
+        flat_adjacency = self._flat_adjacency
+        static_adjacency = self._static_adjacency
+        scorers = self._scorers
+        for name in names:
+            static_adjacency.pop(name, None)
+            flat_adjacency.pop(name, None)
+            scorers.pop(name, None)
+        for partner in partners:
+            flat = flat_adjacency.get(partner)
+            if flat is not None and _references(flat, names):
+                del flat_adjacency[partner]
+            scorer = scorers.get(partner)
+            if scorer is not None and not scorer.names.isdisjoint(names):
+                del scorers[partner]
+            entry = static_adjacency.get(partner)
+            if entry is not None and any(
+                factors and _references(factors, names) for factors in entry
+            ):
+                del static_adjacency[partner]
         for template in self.templates:
             template.invalidate(names, scan=scan)
 
@@ -312,9 +306,8 @@ class FactorGraph:
                 "cannot remove every variable: a factor graph needs at "
                 "least one hidden variable"
             )
-        self.variables = [v for v in self.variables if v.name not in names]
         for name in names:
-            del self._by_name[name]
+            self.variables.remove(self._by_name.pop(name))
         self.invalidate_adjacency(itertools.chain(names, touched))
 
     def find(self, name: Hashable) -> HiddenVariable | None:

@@ -30,7 +30,17 @@ functions; see :mod:`repro.ie.ner.model`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.fg.factors import Factor, LogLinearFactor
 from repro.fg.features import FeatureVector
@@ -108,13 +118,28 @@ class Template:
 
     def invalidate(self, names: Iterable[Hashable], scan: bool = True) -> None:
         """Drop cached state for the named variables only (live graph
-        repair).  ``scan=False`` promises the names are brand-new (or
-        only gained factors), so no cached entry of *another* variable
-        can reference them and partner-eviction sweeps may be skipped.
-        The default implementation clears everything — correct for any
-        subclass; the generic templates override with targeted
-        eviction so a repair costs O(touched)."""
+        repair).  With ``scan=True`` the names may be leaving the graph,
+        so cached entries of their :meth:`partners` that reference them
+        go too; ``scan=False`` promises the names are brand-new (or only
+        gained factors), so no cached entry of *another* variable can
+        reference them.  The default implementation clears everything —
+        correct for any subclass; the generic templates override with
+        targeted eviction so a repair costs O(degree of the names)."""
         self.clear_cache()
+
+    def partners(self, name: Hashable) -> Iterable[Hashable]:
+        """Names of the other variables that share a factor of this
+        template with ``name`` in its cached state.
+
+        When a variable is removed, the graph evicts exactly these
+        variables' cache entries besides the variable's own, and looks
+        nowhere else: a static template whose factors have more than
+        one hidden endpoint must override this (from an index kept
+        where its factors are cached) or its removals leave partners
+        scoring stale factors.  Asked before :meth:`invalidate` drops
+        ``name``.  The default — no partners — is right for templates
+        whose factors each have one hidden endpoint."""
+        return ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name})"
@@ -126,6 +151,11 @@ def dedup_factors(factor_iter: Iterable[Factor]) -> Dict[Hashable, Factor]:
     for factor in factor_iter:
         out.setdefault(factor.key, factor)
     return out
+
+
+def _references(factors: Iterable[Factor], names: Set[Hashable]) -> bool:
+    """Whether any of ``factors`` has an endpoint named in ``names``."""
+    return any(v.name in names for f in factors for v in f.variables)
 
 
 class UnaryTemplate(Template):
@@ -218,7 +248,10 @@ class PairwiseTemplate(Template):
     Static templates cache the adjacent factor tuple per variable and
     pool instances by factor key (both endpoints share one object);
     dynamic templates re-instantiate on every call because the
-    neighbour set depends on the current assignment.
+    neighbour set depends on the current assignment.  Every pooled
+    pair is registered under both endpoints (:meth:`partners`), so
+    removing a variable evicts its pooled factors and its partners'
+    cached tuples in O(degree).
     """
 
     def __init__(
@@ -239,6 +272,9 @@ class PairwiseTemplate(Template):
         self._pool: Dict[Hashable, Factor] = {}
         self._adjacent: Dict[Hashable, Tuple[Factor, ...]] = {}
         self._order_keys: Dict[Hashable, str] = {}
+        # Endpoint index of the pool: name -> the other endpoint of each
+        # pooled pair it is in (tuples: most names have one or two).
+        self._partners: Dict[Hashable, Tuple[Hashable, ...]] = {}
         # Shared (signature, value_a, value_b) -> (slots, values) arrays
         # (signature_fn receives the canonically ordered endpoints).
         self._arrays: Dict[Any, Any] = {}
@@ -247,42 +283,58 @@ class PairwiseTemplate(Template):
         self._pool.clear()
         self._adjacent.clear()
         self._order_keys.clear()
+        self._partners.clear()
         self._arrays.clear()
+
+    def partners(self, name: Hashable) -> Tuple[Hashable, ...]:
+        return self._partners.get(name, ())
 
     def evict_pair(self, a: Hashable, b: Hashable) -> None:
         """Drop the pooled instance for one endpoint pair (either
         order).  Live repair calls this for factors *dissolved between
         two surviving variables* — e.g. the transition edge severed by
         a mid-document insert — which targeted `invalidate(...,
-        scan=False)` cannot see and the removal sweep never visits;
-        without it, dead instances would accumulate in the pool for the
-        graph's lifetime."""
-        self._pool.pop((a, b), None)
-        self._pool.pop((b, a), None)
+        scan=False)` cannot see; without it, dead instances would
+        accumulate in the pool for the graph's lifetime.  The pair also
+        leaves :meth:`partners`, so the caller must invalidate both
+        endpoints (their neighbourhoods changed)."""
+        pool = self._pool
+        if pool.pop((a, b), None) is not None or pool.pop((b, a), None) is not None:
+            self._unlink(a, b)
+            self._unlink(b, a)
 
     def invalidate(self, names: Iterable[Hashable], scan: bool = True) -> None:
         nameset = set(names)
+        adjacent = self._adjacent
         for name in nameset:
-            self._adjacent.pop(name, None)
+            adjacent.pop(name, None)
             self._order_keys.pop(name, None)
         if not scan:
             return
-        stale = [
-            key
-            for key in self._pool
-            if key[0] in nameset or key[1] in nameset
-        ]
-        for key in stale:
-            del self._pool[key]
-        # Cached adjacency of *partners* still referencing an
-        # invalidated variable (a removed variable's old neighbours).
-        stale = [
-            key
-            for key, factors in self._adjacent.items()
-            if any(v.name in nameset for f in factors for v in f.variables)
-        ]
-        for key in stale:
-            del self._adjacent[key]
+        pool = self._pool
+        for name in nameset:
+            for partner in self._partners.pop(name, ()):
+                pool.pop((name, partner), None)
+                pool.pop((partner, name), None)
+                self._unlink(partner, name)
+                # A removed variable's old neighbour must not keep
+                # serving the cached tuple with the dead factor in it.
+                factors = adjacent.get(partner)
+                if factors is not None and _references(factors, nameset):
+                    del adjacent[partner]
+
+    def _unlink(self, name: Hashable, partner: Hashable) -> None:
+        """Remove one ``partner`` occurrence from ``name``'s index entry
+        (absent entries are fine: both endpoints may be leaving)."""
+        mine = self._partners.get(name)
+        if mine is None:
+            return
+        rest = list(mine)
+        rest.remove(partner)
+        if rest:
+            self._partners[name] = tuple(rest)
+        else:
+            del self._partners[name]
 
     def factors_for(self, variable: HiddenVariable) -> Sequence[Factor]:
         if self.dynamic or not self._cache_enabled:
@@ -297,6 +349,7 @@ class PairwiseTemplate(Template):
         pooled = self._cache_enabled and not self.dynamic
         stable = self.stable_features and self._cache_enabled
         pool = self._pool
+        partners = self._partners
         weights = self.weights
         feature_fn = self._feature_fn
         signature_fn = self._signature_fn
@@ -322,6 +375,8 @@ class PairwiseTemplate(Template):
                         ),
                     )
                     pool[key] = factor
+                    partners[key[0]] = partners.get(key[0], ()) + (key[1],)
+                    partners[key[1]] = partners.get(key[1], ()) + (key[0],)
             else:
                 factor = LogLinearFactor(
                     self.name, (first, second), weights, feature_fn,
@@ -345,5 +400,6 @@ class PairwiseTemplate(Template):
         state["_pool"] = {}
         state["_adjacent"] = {}
         state["_order_keys"] = {}
+        state["_partners"] = {}
         state["_arrays"] = {}
         return state

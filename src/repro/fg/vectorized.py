@@ -164,8 +164,8 @@ class LocalScorer:
         # Nearly every model shares one Weights across its templates;
         # reading a single version beats summing a tuple every delta.
         self._w0 = weights_objects[0] if len(weights_objects) == 1 else None
-        #: Names of every variable any record touches (graph-repair
-        #: invalidation sweeps match against this).
+        #: Names of every variable any record touches (graph repair
+        #: checks a removed variable's partners' scorers against this).
         self.names = names
         self._needs_set = needs_set
         # Markov-blanket values -> {candidate value -> local score}.

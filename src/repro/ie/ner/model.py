@@ -325,7 +325,6 @@ class SkipChainNerModel:
             return repair
 
         affected_docs = set()
-        removed_names = set()
         for variable in to_remove:
             name = variable.name
             doc = self._doc_of.pop(name)
@@ -340,7 +339,6 @@ class SkipChainNerModel:
             self._next.pop(name, None)
             self._skip.pop(name, None)
             affected_docs.add(doc)
-            removed_names.add(name)
             repair.removed.append(name)
 
         inserted: List[FieldVariable] = []
@@ -369,10 +367,12 @@ class SkipChainNerModel:
 
         # Graph edits last, preserving the global TOK_ID ordering so a
         # repaired graph is indistinguishable from a rebuilt one.
+        for variable in to_remove:
+            index = bisect.bisect_left(
+                self.variables, variable.pk[0], key=lambda v: v.pk[0]
+            )
+            del self.variables[index]
         if to_remove:
-            self.variables = [
-                v for v in self.variables if v.name not in removed_names
-            ]
             self.graph.remove_variables(to_remove)
         for variable in inserted:
             index = bisect.bisect_left(
@@ -382,7 +382,7 @@ class SkipChainNerModel:
             self.graph.add_variables([variable], index=index)
         # Touched survivors: their own entries must rebuild, but any
         # factor they share with *another* survivor is unchanged, and
-        # factors over removed variables were already swept by
+        # factors over removed variables were already evicted by
         # remove_variables — no partner scan needed.
         self.graph.invalidate_adjacency(repair.touched, scan=False)
         return repair

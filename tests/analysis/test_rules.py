@@ -205,6 +205,24 @@ class TestRL002CacheInvalidation:
         )
         assert report.clean
 
+    def test_index_written_outside_pool_methods_flagged(self):
+        report = lint(
+            """
+            class PairwiseTemplate(Template):
+                def evict_pair(self, a, b):
+                    self._partners.pop(a, None)
+
+                def adopt(self, a, b):
+                    self._partners[a] = (b,)
+                    self._partners.setdefault(b, (a,))
+            """,
+            "repro/fg/templates.py",
+            rules=["RL002"],
+        )
+        assert rule_ids(report) == ["RL002", "RL002"]
+        assert all("self._partners" in f.message for f in report.findings)
+        assert all("adopt" in f.symbol for f in report.findings)
+
     def test_suppressed_with_justification(self):
         report = lint(
             """

@@ -16,7 +16,7 @@ from repro.core.live import (
 )
 from repro.errors import LiveUpdateError
 from repro.ie.ner.model import SkipChainNerModel, fit_generative_weights
-from repro.ie.ner.pdb import NerTask, build_token_database
+from repro.ie.ner.pdb import NerPipeline, NerTask, build_token_database
 from repro.ie.ner.corpus import generate_corpus
 from repro.mcmc.chain import MarkovChain
 from repro.mcmc.metropolis import MetropolisHastings
@@ -238,3 +238,72 @@ class TestIncrementalEvaluator:
         evaluator.notify_repair(None)
         assert handle.num_samples == 0
         evaluator.detach()
+
+
+class TestRepairCacheFootprint:
+    """Live repair evicts only what a DML statement touched, and
+    repeated DML leaves no cache larger than it was."""
+
+    @staticmethod
+    def _warm(model):
+        for variable in model.variables:
+            model.graph.local_conditional_scores(variable)
+
+    @staticmethod
+    def _sizes(graph):
+        sizes = {
+            "flat": len(graph._flat_adjacency),
+            "static": len(graph._static_adjacency),
+            "scorers": len(graph._scorers),
+        }
+        for template in graph.templates:
+            for attr in ("_pool", "_adjacent", "_order_keys"):
+                if hasattr(template, attr):
+                    sizes[template.name, attr] = len(getattr(template, attr))
+            if hasattr(template, "_partners"):
+                sizes[template.name, "_partners"] = sum(
+                    map(len, template._partners.values())
+                )
+        return sizes
+
+    def test_delete_keeps_non_partner_caches(self):
+        pipeline = NerPipeline.build(300, seed=1, steps_per_sample=100)
+        model = pipeline.instance.model
+        graph = model.graph
+        self._warm(model)
+        victim = graph.find(("TOKEN", (53,), "LABEL"))
+        partners = {
+            v.name for f in graph.adjacent_static(victim) for v in f.variables
+        }
+        assert len(partners) > 3  # Chain neighbours plus skip mates.
+        kept = {
+            v.name: (graph._flat_adjacency[v.name], graph._scorers[v.name])
+            for v in model.variables
+            if v.name not in partners
+        }
+        pipeline.session.execute("DELETE FROM TOKEN WHERE TOK_ID = 53")
+        for name, (flat, scorer) in kept.items():
+            assert graph._flat_adjacency.get(name) is flat
+            assert graph._scorers.get(name) is scorer
+
+    def test_dml_cycles_return_caches_to_warm_size(self):
+        pipeline = NerPipeline.build(300, seed=1, steps_per_sample=100)
+        model, session = pipeline.instance.model, pipeline.session
+        [row] = session.execute(
+            "SELECT TOK_ID, DOC_ID, STRING, LABEL, TRUTH FROM TOKEN "
+            "WHERE TOK_ID = 57"
+        ).fetchall()
+        self._warm(model)
+        warm = self._sizes(model.graph)
+        for i in range(500):
+            for statement in (
+                f"INSERT INTO TOKEN VALUES (1000, {i % 3}, 'York', 'O', 'O')",
+                "UPDATE TOKEN SET STRING = 'Manny' WHERE TOK_ID = 1000",
+                "UPDATE TOKEN SET LABEL = 'B-PER' WHERE TOK_ID = 1000",
+                "DELETE FROM TOKEN WHERE TOK_ID = 1000",
+                "DELETE FROM TOKEN WHERE TOK_ID = 57",
+                "INSERT INTO TOKEN VALUES (%d, %d, '%s', '%s', '%s')" % row,
+            ):
+                session.execute(statement)
+        self._warm(model)
+        assert self._sizes(model.graph) == warm

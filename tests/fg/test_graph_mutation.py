@@ -211,6 +211,34 @@ class TestTargetedInvalidation:
         keys = {f.key for f in graph.adjacent_static(survivor)}
         assert not any(victim.name in key[1] for key in keys)
 
+    def test_removal_evicts_pooled_pairs_and_only_partner_caches(self):
+        """Removing a variable without ``touched`` evicts its pooled
+        pair factors, their endpoint-index entries and its partners'
+        cached tuples and scorers; every other variable keeps its
+        cached objects."""
+        model = ChainModel(6)
+        graph = model.graph
+        pair = model.templates[1]
+        for variable in model.variables:
+            graph.local_conditional_scores(variable)  # Compile scorers.
+        far = [graph.variable(name) for name in ("v4", "v5")]
+        kept = [(graph.adjacent_static(v), graph._scorer(v)) for v in far]
+        victim = model.variables.pop(2)  # Partners v1 and v3.
+        model._link_all()
+        graph.remove_variables([victim])  # no touched given
+        assert not any(victim.name in key for key in pair._pool)
+        assert pair.partners(victim.name) == ()
+        assert victim.name not in pair.partners("v1")
+        assert victim.name not in pair.partners("v3")
+        for name in ("v1", "v3"):
+            assert name not in pair._adjacent
+            assert name not in graph._flat_adjacency
+            assert name not in graph._scorers
+        for v, (flat, scorer) in zip(far, kept):
+            assert graph.adjacent_static(v) is flat
+            assert graph._scorer(v) is scorer
+        assert_matches_rebuild(model)
+
     def test_add_remove_factors_invalidate_endpoints(self):
         from repro.fg import LogLinearFactor
 

@@ -12,10 +12,11 @@ Coref exercises dynamic templates, which never get an array scorer:
 its single-mention moves are served from a pair-score table instead,
 and split/merge proposals take the reference path either way.  The
 table must be emptied by every weight change and live repair, or a
-stale pair score would change the walk.  SampleRank is the adversarial
-case for the array scorers: it mutates the weights mid-walk, so a
-scorer holding on to stale dense values would silently change the
-update sequence.
+stale pair score would change the walk.  NER live repair must leave
+no cache or pool holding a variable object the graph has dropped.
+SampleRank is the adversarial case for the array scorers: it mutates
+the weights mid-walk, so a scorer holding on to stale dense values
+would silently change the update sequence.
 """
 
 from repro.bench import make_task
@@ -28,6 +29,7 @@ from repro.ie.coref import (
     generate_mentions,
 )
 from repro.ie.coref.model import AFFINITY, REPULSION
+from repro.ie.ner import NerPipeline
 from repro.learn.objective import HammingObjective
 from repro.learn.samplerank import SampleRankTrainer
 from repro.mcmc import GibbsSampler, MetropolisHastings
@@ -154,6 +156,94 @@ class TestCorefPerValueScores:
         assert model.string_of(model.graph.find(("MENTION", (7,), "CLUSTER"))) == (
             "John Miller"
         )
+
+
+def _live_caches(graph):
+    """Assert every cached or pooled factor's endpoints are the graph's
+    live variable objects and each pair template's endpoint index lists
+    exactly its pool's pairs."""
+
+    def live(variable):
+        return graph.find(variable.name) is variable
+
+    factors = [f for flat in graph._flat_adjacency.values() for f in flat]
+    for scorer in graph._scorers.values():
+        if scorer is not None:
+            assert live(scorer._variable)
+            assert all(live(v) for v in scorer._others)
+            factors.extend(record[-1] for record in scorer._records)
+    for template in graph.templates:
+        factors.extend(template._pool.values())
+        for cached in getattr(template, "_adjacent", {}).values():
+            factors.extend(cached)
+        if hasattr(template, "_partners"):
+            indexed = sorted(
+                (name, partner)
+                for name, partners in template._partners.items()
+                for partner in partners
+            )
+            pooled = sorted(
+                pair for a, b in template._pool for pair in ((a, b), (b, a))
+            )
+            assert indexed == pooled
+    assert factors
+    assert all(live(v) for f in factors for v in f.variables)
+
+
+class TestNerPerValueScoresAcrossRepairs:
+    """The NER twin of :class:`TestCorefPerValueScores`: after each kind
+    of live repair on a warm chain, every (token, label) delta equals
+    the uncached reference under ``==``, and no cache or pool still
+    holds a variable object the graph has dropped.  An UPDATE of STRING
+    keeps the token's name but replaces its variable object, so a
+    cache keyed by name alone would keep scoring the old object."""
+
+    def test_deltas_bit_identical_and_no_stale_objects(self):
+        pipeline = NerPipeline.build(300, seed=1, steps_per_sample=100)
+        model, session = pipeline.instance.model, pipeline.session
+        graph = model.graph
+        pipeline.instance.kernel.run(3000)  # Move the labels off 'O'.
+
+        def token(tok_id):
+            return graph.find(("TOKEN", (tok_id,), "LABEL"))
+
+        # Document 0 (seed 1): "York" at 32, 53 and 57 is a skip group;
+        # "Denver" at 15 has no mate.
+        assert [m.pk[0] for m in model.skip_neighbors(token(32))] == [53, 57]
+        assert model.skip_neighbors(token(15)) == []
+
+        def deltas():
+            return [
+                [graph.score_delta({v: label}) for label in v.domain]
+                for v in model.variables
+            ]
+
+        def check():
+            _live_caches(graph)
+            fast = deltas()
+            _live_caches(graph)
+            graph.set_caching(False)
+            assert fast == deltas()
+            graph.set_caching(True)
+            deltas()  # Refill every cache before the next repair.
+
+        check()
+        old = token(53)
+        for statement in (
+            "INSERT INTO TOKEN VALUES (1000, 0, 'York', 'O', 'B-LOC')",
+            "UPDATE TOKEN SET STRING = 'Denver' WHERE TOK_ID = 53",
+            "UPDATE TOKEN SET LABEL = 'B-LOC' WHERE TOK_ID = 32",
+            "DELETE FROM TOKEN WHERE TOK_ID = 57",
+            "DELETE FROM TOKEN WHERE TOK_ID = 86",
+            "INSERT INTO TOKEN VALUES (86, 1, 'Manny', 'O', 'B-PER')",
+        ):
+            session.execute(statement)
+            check()
+        assert token(53) is not old
+        assert [m.pk[0] for m in model.skip_neighbors(token(53))] == [15]
+        assert [m.pk[0] for m in model.skip_neighbors(token(32))] == [1000]
+        assert token(57) is None
+        assert model.string_of(token(86)) == "Manny"
 
 
 class TestGibbs:
