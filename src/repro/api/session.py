@@ -19,11 +19,14 @@ door: one object that answers every statement class from SQL strings —
   ``samples=N`` routes through the MCMC evaluators of
   :mod:`repro.core` and returns an anytime cursor of tuple marginals.
 
-Compiled plans are cached by normalized SQL, so repeated execution of
-the same statement skips the parser and compiler entirely; probabilistic
-runners (and their materialized view state) are cached the same way, so
-re-executing a probabilistic query *continues* the chain rather than
-restarting it.
+Compiled plans are cached by statement shape — the normalized SQL with
+its literals lifted into slots — so a statement that repeats another,
+or differs from it only in a literal, skips the parser and compiler
+entirely and binds its own literals into the cached plan (see
+:mod:`repro.api.plan_cache`).  Probabilistic runners (and their
+materialized view state) are cached by the normalized SQL itself,
+literals included, so re-executing a probabilistic query *continues*
+the chain rather than restarting it.
 
 Typical usage::
 
@@ -54,7 +57,7 @@ import threading
 from typing import Any, Callable, Optional, Tuple
 
 from repro.api.cursor import AnytimeCursor, Cursor
-from repro.api.plan_cache import CacheInfo, PlanCache, normalize_sql
+from repro.api.plan_cache import CacheInfo, PlanCache
 from repro.core.backends import make_backend, validate_backend_name
 from repro.core.evaluator import EvaluationResult, QueryEvaluator
 from repro.core.live import IncrementalEvaluator, LiveRunner, resolve_live_model
@@ -67,10 +70,11 @@ from repro.db.shard import Partitioner, stable_hash
 from repro.db.ra.ast import PlanNode
 from repro.db.ra.eval import evaluate_rows
 from repro.db.ra.planner import PlannedQuery, Planner, default_planner
-from repro.db.sql.ast import SelectStmt, Statement
+from repro.db.sql.ast import SelectStmt
 from repro.db.sql.compiler import compile_select
 from repro.db.sql.executor import execute_dml, execute_statement
-from repro.db.sql.parser import parse_script, parse_statement
+from repro.db.sql.lexer import tokenize
+from repro.db.sql.parser import parse_script, parse_statement, parse_tokens
 from repro.errors import EvaluationError, QueryError, SessionBusyError
 from repro.fg.graph import GraphRepair
 from repro.mcmc.chain import MarkovChain
@@ -262,7 +266,8 @@ class Session:
         An existing :class:`~repro.db.database.Database` to adopt, or
         ``None`` to create an empty one named ``name``.
     plan_cache_size:
-        LRU bound of the compiled-plan cache.
+        LRU bound of the compiled-plan cache, and of its map from
+        recent statement texts to their keys.
     """
 
     def __init__(
@@ -552,12 +557,16 @@ class Session:
         return parse_statement(sql).kind
 
     def _route(self, sql: str) -> tuple[str, str, Any]:
-        """Resolve ``sql`` to ``(cache_key, kind, payload)``.
+        """Resolve ``sql`` to ``(key, kind, payload)``.
 
-        SELECT payloads are :class:`PlannedQuery` objects (the compiled
-        plan plus its planner rewrite), DML payloads parsed statements —
-        both served from the plan cache.  DDL is never cached: it
-        changes the schema as it executes.
+        ``key`` is :func:`~repro.api.plan_cache.normalize_sql` of
+        ``sql``: the statement's identity, literals included, which
+        keys the runner cache, seeds a targeted chain and fingerprints
+        served marginals.  SELECT payloads are :class:`PlannedQuery`
+        objects (the compiled plan plus its planner rewrite), planned
+        once per statement shape and bound to ``sql``'s own literals;
+        DML payloads are parsed statements, cached by ``key``.  DDL is
+        never cached: it changes the schema as it executes.
 
         Every cached entry is stamped with the database's
         :attr:`~repro.db.database.Database.schema_version` at compile
@@ -569,34 +578,46 @@ class Session:
         DROP+CREATE with a different layout would otherwise serve a
         compiled plan reading columns at their old positions.
         """
-        key = normalize_sql(sql)
-        entry = self._plans.get(key)
+        key = self._plans.key(sql)
+        entry = self._plans.get(key.plan)
         if entry is not None and entry[2] != self.database.schema_version:
             entry = None
         if entry is None:
             stamp = self.database.schema_version
-            stmt: Statement = parse_statement(sql)
+            stmt, literals = parse_tokens(
+                key.tokens if key.tokens is not None else tokenize(sql)
+            )
             if isinstance(stmt, SelectStmt):
                 planned = self._planner.plan(compile_select(stmt, self.database))
-                entry = ("query", planned, stamp)
-                self._plans.put(key, entry)
-            elif stmt.kind == "ddl":
-                entry = ("ddl", stmt, stamp)
-            else:
-                entry = ("dml", stmt, stamp)
-                self._plans.put(key, entry)
-        return key, entry[0], entry[1]
+                entry = ("query", planned, stamp, tuple(lit for _, lit in literals))
+                # Filed under the shape only when each slot became a
+                # Literal node the binder can replace.
+                if tuple(index for index, _ in literals) == key.slots:
+                    self._plans.put(key.plan, entry)
+                return key.text, "query", planned
+            if stmt.kind == "ddl":
+                return key.text, "ddl", stmt
+            entry = ("dml", stmt, stamp, ())
+            self._plans.put(key.plan, entry)
+        kind, payload, _, literals = entry
+        if literals:
+            payload = payload.bind(literals, key.binds)
+        return key.text, kind, payload
 
     def explain(self, sql: str) -> str:
         """The planner's rendering of a SELECT: the plan that will run,
         one ``access:`` line per primary-key read (e.g. ``access: TOKEN
         by primary key (TOK_ID = 17)``), the rewrite trace, and — when
-        any rule fired — the original compiled tree for comparison."""
+        any rule fired — the original compiled tree for comparison.
+
+        The statement is planned from its own text, not served from the
+        plan cache, so the report renders its own literals."""
         self._check_open()
-        key, kind, payload = self._route(sql)
-        if kind != "query":
-            raise QueryError(f"EXPLAIN applies to SELECT statements ({kind})")
-        return payload.explain(self.database)
+        stmt = parse_statement(sql)
+        if not isinstance(stmt, SelectStmt):
+            raise QueryError(f"EXPLAIN applies to SELECT statements ({stmt.kind})")
+        planned = self._planner.plan(compile_select(stmt, self.database))
+        return planned.explain(self.database)
 
     # ------------------------------------------------------------------
     # Execution

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Optional, Sequence, Tuple
 
 from repro.db.schema import Attribute, Schema
 from repro.db.types import AttrType
@@ -96,29 +96,7 @@ class ColumnRef(Expr):
     qualifier: Optional[str] = None
 
     def _resolve(self, schema: Schema) -> int:
-        wanted = self.name.lower()
-        qualifier = self.qualifier.lower() if self.qualifier else None
-        matches = []
-        for i, attr in enumerate(schema.attributes):
-            full = attr.name.lower()
-            if "." in full:
-                qual, base = full.rsplit(".", 1)
-            else:
-                qual, base = None, full
-            if base != wanted and full != wanted:
-                continue
-            if qualifier is not None and qual != qualifier:
-                continue
-            matches.append(i)
-        if not matches:
-            raise QueryError(
-                f"unknown column {self!r} among {list(schema.attribute_names)}"
-            )
-        if len(matches) > 1:
-            raise QueryError(
-                f"ambiguous column {self!r} among {list(schema.attribute_names)}"
-            )
-        return matches[0]
+        return schema.resolve(self.name, self.qualifier, self)
 
     def bind(self, schema: Schema) -> Compiled:
         pos = self._resolve(schema)
@@ -356,9 +334,11 @@ class PlanNode:
     """
 
     schema: Schema
+    # The attributes that hold child plans, in ``children()`` order.
+    child_fields: ClassVar[tuple[str, ...]] = ()
 
     def children(self) -> tuple["PlanNode", ...]:
-        return ()
+        return tuple(getattr(self, name) for name in self.child_fields)
 
     def describe(self, indent: int = 0) -> str:
         """Human-readable plan tree."""
@@ -390,14 +370,13 @@ class Scan(PlanNode):
 class Select(PlanNode):
     """Filter rows by a predicate (σ)."""
 
+    child_fields = ("child",)
+
     def __init__(self, child: PlanNode, predicate: Expr):
         self.child = child
         self.predicate = predicate
         self.schema = child.schema
         predicate.bind(child.schema)  # fail fast on bad references
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def __repr__(self) -> str:
         return f"Select({self.predicate!r})"
@@ -405,6 +384,8 @@ class Select(PlanNode):
 
 class Project(PlanNode):
     """Multiset projection (π) of expressions to output names."""
+
+    child_fields = ("child",)
 
     def __init__(self, child: PlanNode, outputs: Sequence[tuple[Expr, str]]):
         if not outputs:
@@ -416,9 +397,6 @@ class Project(PlanNode):
             for expr, name in self.outputs
         ]
         self.schema = Schema("project", attrs)
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def __repr__(self) -> str:
         cols = ", ".join(name for _, name in self.outputs)
@@ -432,6 +410,8 @@ class Join(PlanNode):
     hashing; residual predicates are applied per matching pair.
     """
 
+    child_fields = ("left", "right")
+
     def __init__(self, left: PlanNode, right: PlanNode, condition: Expr):
         self.left = left
         self.right = right
@@ -441,9 +421,6 @@ class Join(PlanNode):
         condition.bind(self.schema)  # fail fast
         self.equi_pairs = _extract_equi_pairs(condition, left.schema, right.schema)
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
     def __repr__(self) -> str:
         return f"Join({self.condition!r})"
 
@@ -451,14 +428,13 @@ class Join(PlanNode):
 class CrossProduct(PlanNode):
     """Cartesian product (×)."""
 
+    child_fields = ("left", "right")
+
     def __init__(self, left: PlanNode, right: PlanNode):
         self.left = left
         self.right = right
         attrs = list(left.schema.attributes) + list(right.schema.attributes)
         self.schema = Schema("cross", attrs)
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
 
     def __repr__(self) -> str:
         return "CrossProduct"
@@ -466,6 +442,8 @@ class CrossProduct(PlanNode):
 
 class UnionAll(PlanNode):
     """Bag union; children must be union-compatible."""
+
+    child_fields = ("left", "right")
 
     def __init__(self, left: PlanNode, right: PlanNode):
         if [a.attr_type for a in left.schema.attributes] != [
@@ -476,9 +454,6 @@ class UnionAll(PlanNode):
         self.right = right
         self.schema = left.schema
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
     def __repr__(self) -> str:
         return "UnionAll"
 
@@ -486,12 +461,11 @@ class UnionAll(PlanNode):
 class Distinct(PlanNode):
     """Collapse the bag to its support (δ)."""
 
+    child_fields = ("child",)
+
     def __init__(self, child: PlanNode):
         self.child = child
         self.schema = child.schema
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def __repr__(self) -> str:
         return "Distinct"
@@ -503,6 +477,8 @@ class GroupAggregate(PlanNode):
     ``group_by`` may be empty, yielding the single global group (which
     is how ``SELECT COUNT(*) FROM ...`` — the paper's Query 2 — plans).
     """
+
+    child_fields = ("child",)
 
     def __init__(
         self,
@@ -522,9 +498,6 @@ class GroupAggregate(PlanNode):
         attrs += [Attribute(a.name, a.result_type(child.schema)) for a in self.aggregates]
         self.schema = Schema("aggregate", attrs)
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
     def __repr__(self) -> str:
         keys = ", ".join(name for _, name in self.group_by)
         aggs = ", ".join(f"{a.func}->{a.name}" for a in self.aggregates)
@@ -541,6 +514,8 @@ class AggLookup(PlanNode):
     its ``outer_key``, or ``default`` when the group is absent
     (COUNT over an empty set is 0).
     """
+
+    child_fields = ("outer", "inner")
 
     def __init__(
         self,
@@ -565,15 +540,14 @@ class AggLookup(PlanNode):
         ]
         self.schema = Schema("agglookup", attrs)
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.outer, self.inner)
-
     def __repr__(self) -> str:
         return f"AggLookup({self.output_name})"
 
 
 class OrderBy(PlanNode):
     """Sort (presentation only; not incrementally maintainable)."""
+
+    child_fields = ("child",)
 
     def __init__(self, child: PlanNode, keys: Sequence[tuple[Expr, bool]]):
         self.child = child
@@ -582,9 +556,6 @@ class OrderBy(PlanNode):
         for expr, _ in self.keys:
             expr.bind(child.schema)
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
     def __repr__(self) -> str:
         return f"OrderBy({len(self.keys)} keys)"
 
@@ -592,15 +563,14 @@ class OrderBy(PlanNode):
 class Limit(PlanNode):
     """Keep the first ``n`` rows (presentation only)."""
 
+    child_fields = ("child",)
+
     def __init__(self, child: PlanNode, n: int):
         if n < 0:
             raise PlanError("LIMIT must be non-negative")
         self.child = child
         self.n = n
         self.schema = child.schema
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def __repr__(self) -> str:
         return f"Limit({self.n})"

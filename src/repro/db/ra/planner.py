@@ -22,10 +22,11 @@ composes with the planner inside the session.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.db.database import Database
-from repro.db.ra.ast import PlanNode
+from repro.db.ra.ast import Literal, PlanNode
+from repro.db.ra.bind import LiteralBinder
 from repro.db.ra.eval import access_paths
 from repro.db.ra.rules import (
     DEFAULT_RULES,
@@ -57,9 +58,12 @@ class PlannedQuery:
     rewrite of it; ``trace`` records every rule application in order.
     Both trees answer every query identically on every world — the
     session's ``optimize=False`` escape hatch simply executes ``raw``.
+
+    :meth:`bind` derives the same query with new literal values; the
+    derived query builds each of its trees only when first asked.
     """
 
-    __slots__ = ("raw", "plan", "trace")
+    __slots__ = ("_raw", "_plan", "trace", "_source", "_binder")
 
     def __init__(
         self,
@@ -67,9 +71,55 @@ class PlannedQuery:
         plan: PlanNode,
         trace: Tuple[RuleApplication, ...] = (),
     ):
-        self.raw = raw
-        self.plan = plan
+        self._raw: Optional[PlanNode] = raw
+        self._plan: Optional[PlanNode] = plan
         self.trace = trace
+        self._source: Optional[PlannedQuery] = None
+        self._binder: Optional[LiteralBinder] = None
+
+    def bind(
+        self, literals: Sequence[Literal], values: Sequence[Any]
+    ) -> "PlannedQuery":
+        """This query with ``values[i]`` in place of ``literals[i]``.
+
+        ``literals`` are Literal nodes of this query's trees, each to
+        receive a value of its own type.  The caller guarantees that
+        two values are equal exactly when the literals they replace
+        are: the planner may have shared two subtrees whose literals
+        are equal, and the bound query must be the one planning its own
+        literals would give.
+
+        The bound query keeps this query's ``trace``: the same rules
+        fired at the same nodes, but its details render this query's
+        literals.  To explain a statement, plan its own text.
+        """
+        replaced = {
+            id(old): Literal(new)
+            for old, new in zip(literals, values)
+            if old.value != new
+        }
+        if not replaced:
+            return self
+        bound = PlannedQuery.__new__(PlannedQuery)
+        bound._raw = bound._plan = None
+        bound.trace = self.trace
+        bound._source = self
+        bound._binder = LiteralBinder(replaced)
+        return bound
+
+    @property
+    def raw(self) -> PlanNode:
+        if self._raw is None:
+            assert self._source is not None and self._binder is not None
+            self._raw = self._binder.plan(self._source.raw)
+        return self._raw
+
+    @property
+    def plan(self) -> PlanNode:
+        if self._plan is None:
+            assert self._source is not None and self._binder is not None
+            self._plan = self._binder.plan(self._source.plan)
+        return self._plan
 
     def chosen(self, optimize: bool) -> PlanNode:
         """The tree to execute: rewritten, or the raw escape hatch."""

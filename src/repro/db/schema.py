@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.db.types import AttrType, coerce_value
-from repro.errors import SchemaError
+from repro.errors import QueryError, SchemaError
 
 __all__ = ["Attribute", "Schema"]
 
@@ -63,6 +63,9 @@ class Schema:
             if k.lower() not in self._positions:
                 raise SchemaError(f"key attribute {k!r} not in schema {name!r}")
         self._key_positions = tuple(self._positions[k.lower()] for k in self.key)
+        # resolve()'s answers by (name, qualifier) as written; the
+        # attributes never change, so an answer never goes stale.
+        self._resolved: dict[tuple[str, str | None], int] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -85,6 +88,45 @@ class Schema:
                 f"unknown attribute {attr_name!r} in relation {self.name!r} "
                 f"(have {list(self.attribute_names)})"
             ) from None
+
+    def resolve(self, name: str, qualifier: str | None, label: object) -> int:
+        """Column index of the reference ``qualifier.name``.
+
+        Matching is case-insensitive; an unqualified ``name`` matches an
+        attribute by its full name or by the part after its last dot.
+        Raises :class:`~repro.errors.QueryError` naming ``label`` when
+        no attribute or more than one matches.
+        """
+        position = self._resolved.get((name, qualifier))
+        if position is None:
+            position = self._find(name, qualifier, label)
+            self._resolved[name, qualifier] = position
+        return position
+
+    def _find(self, name: str, qualifier: str | None, label: object) -> int:
+        wanted = name.lower()
+        qualifier = qualifier.lower() if qualifier else None
+        matches = []
+        for i, attr in enumerate(self.attributes):
+            full = attr.name.lower()
+            if "." in full:
+                qual, base = full.rsplit(".", 1)
+            else:
+                qual, base = None, full
+            if base != wanted and full != wanted:
+                continue
+            if qualifier is not None and qual != qualifier:
+                continue
+            matches.append(i)
+        if not matches:
+            raise QueryError(
+                f"unknown column {label!r} among {list(self.attribute_names)}"
+            )
+        if len(matches) > 1:
+            raise QueryError(
+                f"ambiguous column {label!r} among {list(self.attribute_names)}"
+            )
+        return matches[0]
 
     def has_attribute(self, attr_name: str) -> bool:
         return attr_name.lower() in self._positions

@@ -23,6 +23,9 @@ Grammar (informal)::
 :func:`parse` produces a :class:`repro.db.sql.ast.SelectStmt` (the
 historical entry point); :func:`parse_statement` accepts any statement
 class and :func:`parse_script` a ``;``-separated sequence of them.
+:func:`parse_tokens` parses an already tokenized statement and reports
+the :class:`~repro.db.ra.ast.Literal` nodes it built, so the plan cache
+can bind new values into a plan compiled from them.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from repro.db.sql.lexer import Token, TokenType, tokenize
 from repro.db.types import AttrType
 from repro.errors import SqlSyntaxError
 
-__all__ = ["parse", "parse_statement", "parse_script"]
+__all__ = ["parse", "parse_statement", "parse_script", "parse_tokens"]
 
 _AGG_KEYWORDS = ("count", "sum", "avg", "min", "max")
 
@@ -91,11 +94,22 @@ def parse(sql: str) -> SelectStmt:
 
 def parse_statement(sql: str) -> Statement:
     """Parse one statement of any class (SELECT, DDL or DML)."""
-    parser = _Parser(tokenize(sql))
+    return parse_tokens(tokenize(sql))[0]
+
+
+def parse_tokens(tokens: list[Token]) -> tuple[Statement, list[tuple[int, Literal]]]:
+    """Parse one statement from its token list.
+
+    Also returns every :class:`Literal` node built from a token, as
+    ``(token index, node)`` in token order.  Literals the grammar reads
+    as raw values (``LIMIT n``, ``LIKE`` patterns, ``IN`` lists) build
+    no node and are not reported.
+    """
+    parser = _Parser(tokens)
     stmt = parser.statement()
     parser.skip_symbol(";")
     parser.expect_eof()
-    return stmt
+    return stmt, parser.literals
 
 
 def parse_script(sql: str) -> list[Statement]:
@@ -116,6 +130,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self.literals: list[tuple[int, Literal]] = []
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -501,8 +516,10 @@ class _Parser:
     def primary(self) -> Expr:
         token = self.peek()
         if token.kind is TokenType.NUMBER or token.kind is TokenType.STRING:
+            literal = Literal(token.value)
+            self.literals.append((self._pos, literal))
             self.advance()
-            return Literal(token.value)
+            return literal
         if token.kind is TokenType.KEYWORD and token.value in _AGG_KEYWORDS:
             return self.aggregate_call()
         if token.kind is TokenType.IDENT:

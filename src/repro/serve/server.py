@@ -287,9 +287,9 @@ class ReproServer:
     # -- deterministic reads -------------------------------------------
     async def _serve_read(self, sql: str) -> ServeResult:
         async with self._engine_lock:
-            # repro-lint: disable=RL004 -- _route is an O(1) plan-cache
-            # hit (parse only on miss) and must run under the engine
-            # lock so (plan, version) stay atomic.
+            # repro-lint: disable=RL004 -- _route is a plan-cache hit
+            # (lexes only new text, parses only a new shape) and must
+            # run under the engine lock so (plan, version) stay atomic.
             _, _, planned = self.engine._route(sql)
             plan = planned.plan
             version, snapshot = self._committed_state()
@@ -316,9 +316,9 @@ class ReproServer:
         self, sql: str, samples: int, burn_in: int
     ) -> ServeResult:
         async with self._engine_lock:
-            # repro-lint: disable=RL004 -- _route is an O(1) plan-cache
-            # hit (parse only on miss) and must run under the engine
-            # lock so (fingerprint, version) stay atomic.
+            # repro-lint: disable=RL004 -- _route is a plan-cache hit
+            # (lexes only new text, parses only a new shape) and must
+            # run under the engine lock so (fingerprint, version) stay atomic.
             fingerprint, kind, planned = self.engine._route(sql)
             if kind != "query":
                 raise EvaluationError(

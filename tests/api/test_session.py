@@ -334,3 +334,55 @@ class TestProbabilistic:
         )
         after = pipeline.session.execute(count_sql).fetchone()[0]
         assert after == before + 1
+
+
+class TestOneShapeManyLiterals:
+    """Statements that differ only in a literal share one cached plan,
+    but each keeps its own identity: its runner, its marginals, its
+    targeted chain's seed."""
+
+    PER = "SELECT STRING FROM TOKEN WHERE LABEL='B-PER'"
+    ORG = "SELECT STRING FROM TOKEN WHERE LABEL='B-ORG'"
+
+    def make_pipeline(self):
+        return NerPipeline.build(300, seed=1, steps_per_sample=100)
+
+    def test_runners_and_marginals_stay_apart(self):
+        session = self.make_pipeline().session
+        per = session.execute(self.PER, samples=5)
+        misses = session.cache_info().misses
+        org = session.execute(self.ORG, samples=5)
+        assert session.cache_info().misses == misses  # one plan for both
+        assert session.prepare(self.PER) is not session.prepare(self.ORG)
+        assert per.marginals() is not org.marginals()
+        assert per.num_samples == org.num_samples == 6
+
+        # The bound plan samples exactly what the ORG statement planned
+        # from its own text does.
+        reference = self.make_pipeline().session
+        reference.execute(self.PER, samples=5)
+        reference._plans.clear()
+        expected = reference.execute(self.ORG, samples=5)
+        assert reference.cache_info().misses == misses + 1
+        assert list(org) == list(expected)
+
+    def test_targeted_chain_keeps_its_text_seed(self):
+        from repro.db.shard import stable_hash
+        from repro.rng import make_rng
+
+        session = self.make_pipeline().session
+        texts = [f"SELECT STRING, LABEL FROM TOKEN WHERE DOC_ID = {d}" for d in (0, 1)]
+        runners = [session.prepare(sql) for sql in texts]
+        assert session.cache_info().hits >= 1  # the second text was bound
+        for sql, runner in zip(texts, runners):
+            assert runner.targeted
+            seed = stable_hash(("targeted", normalize_sql(sql)))
+            kernel = runner.evaluator.chain.kernel
+            assert kernel.rng.getstate() == make_rng(seed).getstate()
+        # Each restriction was proved from its own literal.
+        first, second = (
+            set(runner.evaluator.chain.kernel.proposer.targeted.variables)
+            for runner in runners
+        )
+        assert first and second and first.isdisjoint(second)
+

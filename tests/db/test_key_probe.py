@@ -188,3 +188,23 @@ class TestExplainAccessPath:
         session = repro.connect(make_db())
         report = session.explain("SELECT STRING FROM TOKEN WHERE DOC_ID = 1")
         assert "access:" not in report
+
+    def test_explain_shows_each_bindings_own_literals(self):
+        # The session has cached the plan of this shape for 17; the
+        # report for 18 must not be the cached plan's.
+        db = make_db()
+        session = repro.connect(db)
+        shape = (
+            "SELECT T1.STRING, T2.STRING FROM TOKEN T1, TOKEN T2 "
+            "WHERE T1.TOK_ID = {} AND T1.DOC_ID = T2.DOC_ID"
+        )
+        session.execute(shape.format(17))
+        first = session.explain(shape.format(17))
+        second = session.explain(shape.format(18))
+        assert "access: TOKEN by primary key (TOK_ID = 17)" in first
+        assert "Lit(17)" not in second
+        lines = second.splitlines()
+        assert "access: TOKEN by primary key (TOK_ID = 18)" in lines
+        narrowed = [line for line in lines if "narrowed Select(" in line]
+        assert narrowed and all("Lit(18)" in line for line in narrowed)
+        assert second == repro.connect(db).explain(shape.format(18))

@@ -216,6 +216,24 @@ class TestExpressions:
         with pytest.raises(QueryError, match="unknown column"):
             self.bind(ColumnRef("NOPE"), db)
 
+    def test_column_resolution_is_memoised_but_errors_are_not(self):
+        db = make_db()
+        left, right = Scan(db.table("R").schema, "X"), Scan(db.table("R").schema, "Y")
+        schema = CrossProduct(left, right).schema
+        for _ in range(2):
+            assert ColumnRef("b", "y")._resolve(schema) == 3
+            assert ColumnRef("B", "Y")._resolve(schema) == 3
+            with pytest.raises(QueryError) as unknown:
+                ColumnRef("C", "X")._resolve(schema)
+            assert str(unknown.value) == (
+                "unknown column Col(X.C) among ['X.A', 'X.B', 'Y.A', 'Y.B']"
+            )
+            with pytest.raises(QueryError) as ambiguous:
+                ColumnRef("A")._resolve(schema)
+            assert str(ambiguous.value) == (
+                "ambiguous column Col(A) among ['X.A', 'X.B', 'Y.A', 'Y.B']"
+            )
+
     def test_bad_operators_rejected(self):
         with pytest.raises(QueryError):
             Comparison("~", ColumnRef("A"), Literal(1))

@@ -101,6 +101,23 @@ class TestBasicServing:
 
         asyncio.run(main())
 
+    def test_marginal_cache_keeps_literals_apart(self):
+        # Both statements share one cached plan; their marginals do not.
+        org = QUERY.replace("B-PER", "B-ORG")
+
+        async def main():
+            async with make_server() as server:
+                s = server.session()
+                per = await s.execute(QUERY, samples=4)
+                first = await s.execute(org, samples=4)
+                again = await s.execute(org, samples=4)
+                assert not per.cached and not first.cached
+                assert again.cached and again.rows == first.rows
+                assert server.cache.info().hits == 1
+                assert server.engine.cache_info().misses == 1
+
+        asyncio.run(main())
+
     def test_dml_invalidates_shared_cache(self):
         async def main():
             async with make_server() as server:
