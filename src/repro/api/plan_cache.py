@@ -49,9 +49,9 @@ class StatementKey(NamedTuple):
     ``text`` is :func:`normalize_sql` of the statement.  ``plan`` is the
     plan-cache key: ``text`` itself for DDL, DML and a SELECT without
     slots, else the SELECT's shape, which also records which slots
-    hold equal values (a planner rewrite may share two subtrees whose
-    literals are equal, so equal and unequal bindings plan
-    differently).  ``binds`` are the slot values and ``slots`` the
+    hold equal values (the compiler matches a select-list expression
+    to its GROUP BY twin by equality, so equal and unequal bindings
+    plan differently).  ``binds`` are the slot values and ``slots`` the
     index of each slot's token, in token order.  ``tokens`` is the
     token list the key was built from, kept only until the statement
     is parsed.

@@ -69,7 +69,7 @@ from repro.db.delta import Delta
 from repro.db.shard import Partitioner, stable_hash
 from repro.db.ra.ast import PlanNode
 from repro.db.ra.eval import evaluate_rows
-from repro.db.ra.planner import PlannedQuery, Planner, default_planner
+from repro.db.ra.planner import PlannedQuery, default_planner
 from repro.db.sql.ast import SelectStmt
 from repro.db.sql.compiler import compile_select
 from repro.db.sql.executor import execute_dml, execute_statement
@@ -100,12 +100,9 @@ def connect(
     *,
     name: str = "pdb",
     plan_cache_size: int = 128,
-    planner: Optional[Planner] = None,
 ) -> "Session":
     """Open a :class:`Session` over ``database`` (or a fresh one)."""
-    return Session(
-        database, name=name, plan_cache_size=plan_cache_size, planner=planner
-    )
+    return Session(database, name=name, plan_cache_size=plan_cache_size)
 
 
 class _ChainRunner:
@@ -276,10 +273,9 @@ class Session:
         *,
         name: str = "pdb",
         plan_cache_size: int = 128,
-        planner: Optional[Planner] = None,
     ):
         self.database = database if database is not None else Database(name)
-        self._planner = planner if planner is not None else default_planner()
+        self._planner = default_planner()
         self._plans = PlanCache(plan_cache_size)
         self._runners: dict[tuple, Any] = {}
         self._model: Any = None
@@ -563,7 +559,7 @@ class Session:
         ``sql``: the statement's identity, literals included, which
         keys the runner cache, seeds a targeted chain and fingerprints
         served marginals.  SELECT payloads are :class:`PlannedQuery`
-        objects (the compiled plan plus its planner rewrite), planned
+        objects (the compiled plan, pruned by the planner), planned
         once per statement shape and bound to ``sql``'s own literals;
         DML payloads are parsed statements, cached by ``key``.  DDL is
         never cached: it changes the schema as it executes.
@@ -607,8 +603,7 @@ class Session:
     def explain(self, sql: str) -> str:
         """The planner's rendering of a SELECT: the plan that will run,
         one ``access:`` line per primary-key read (e.g. ``access: TOKEN
-        by primary key (TOK_ID = 17)``), the rewrite trace, and — when
-        any rule fired — the original compiled tree for comparison.
+        by primary key (TOK_ID = 17)``) and the pruning trace.
 
         The statement is planned from its own text, not served from the
         plan cache, so the report renders its own literals."""
@@ -634,7 +629,6 @@ class Session:
         shards: Optional[int] = None,
         partitioner: Optional[Partitioner] = None,
         resilience: Optional[ResilienceConfig] = None,
-        optimize: bool = True,
     ) -> Cursor:
         """Execute one SQL statement and return its cursor.
 
@@ -678,14 +672,13 @@ class Session:
         chains and worker processes alike — so marginals accumulate
         across calls exactly like :meth:`AnytimeCursor.refine`.
 
-        ``optimize=False`` is the planner escape hatch: the query runs
-        on the compiled tree exactly as the SQL compiler produced it —
-        no rewrite rules, no projection pruning, no factor-graph
-        restriction.  The optimizer preserves answers (bit-identical
-        deterministic results and, for unoptimized-equivalent plans,
-        bit-identical marginals under the same seed), so the flag
-        exists for debugging and as the reference the planner
-        equivalence tests compare against.
+        A SELECT runs the compiler's tree after projection pruning
+        (:class:`~repro.db.ra.planner.Planner`), which changes no answer
+        on any world: deterministic results and, for the same chain,
+        marginals equal the compiled tree's bit for bit.  A query whose
+        deterministic conjuncts confine its answer to some of the
+        attached model's variable groups samples a restricted chain
+        (:meth:`_targeted_chain`).
 
         ``resilience`` supervises the run's chain workers
         (:class:`~repro.resilience.ResilienceConfig`): they checkpoint
@@ -709,7 +702,7 @@ class Session:
                 return Cursor(statement_kind="dml", rowcount=rowcount)
 
             planned: PlannedQuery = payload
-            plan = planned.chosen(optimize)
+            plan = planned.plan
             if samples is None:
                 columns = [
                     (a.name, a.attr_type) for a in plan.schema.attributes
@@ -729,7 +722,6 @@ class Session:
                 shards,
                 partitioner,
                 resilience,
-                optimize,
             )
             try:
                 result = runner.run(samples, burn_in=burn_in)
@@ -796,7 +788,6 @@ class Session:
         shards: Optional[int] = None,
         partitioner: Optional[Partitioner] = None,
         resilience: Optional[ResilienceConfig] = None,
-        optimize: bool = True,
     ):
         """The (cached) probabilistic runner for ``sql``.
 
@@ -821,7 +812,6 @@ class Session:
                 shards,
                 partitioner,
                 resilience,
-                optimize,
             )
         finally:
             self._exec_guard.release()
@@ -837,10 +827,9 @@ class Session:
         shards: Optional[int] = None,
         partitioner: Optional[Partitioner] = None,
         resilience: Optional[ResilienceConfig] = None,
-        optimize: bool = True,
     ):
         validate_backend_name(backend)
-        plan = planned.chosen(optimize)
+        plan = planned.plan
         evaluator_cls = _EVALUATOR_CLASSES.get(evaluator, MaterializedEvaluator)
         if evaluator not in _EVALUATOR_CLASSES and evaluator != "parallel":
             raise EvaluationError(
@@ -868,7 +857,6 @@ class Session:
                 # earlier cursors still hold.
                 partitioner.fingerprint() if partitioner is not None else None,
                 resilience.fingerprint() if resilience is not None else None,
-                optimize,
             )
             runner = self._evict_if_dead(runner_key)
             if runner is None:
@@ -919,7 +907,6 @@ class Session:
                 backend,
                 evaluator_cls.__name__,
                 resilience.fingerprint() if resilience is not None else None,
-                optimize,
             )
             runner = self._evict_if_dead(runner_key)
             if runner is None:
@@ -941,7 +928,7 @@ class Session:
                 "probabilistic execution needs an attached model; call "
                 "attach_model() first"
             )
-        runner_key = (key, evaluator, optimize)
+        runner_key = (key, evaluator)
         runner = self._runners.get(runner_key)
         if runner is None:
             # The materialized strategy gets the repair-aware subclass
@@ -953,10 +940,9 @@ class Session:
             )
             chain = self._chain
             targeted = False
-            if optimize:
-                restricted = self._targeted_chain(key, plan)
-                if restricted is not None:
-                    chain, targeted = restricted, True
+            restricted = self._targeted_chain(key, plan)
+            if restricted is not None:
+                chain, targeted = restricted, True
             runner = _ChainRunner(
                 cls(self.database, chain, [plan]), targeted=targeted
             )

@@ -101,8 +101,8 @@ class QueryEvaluator:
 
     def _as_plan(self, query: str | PlanNode | PlannedQuery) -> PlanNode:
         """Resolve one ``queries`` element to a plan tree: SQL text is
-        compiled, a :class:`PlannedQuery` contributes its optimized
-        plan, a bare tree is used as-is."""
+        compiled, a :class:`PlannedQuery` contributes its pruned plan,
+        a bare tree is used as-is."""
         if isinstance(query, PlannedQuery):
             return query.plan
         if isinstance(query, PlanNode):

@@ -34,6 +34,9 @@ __all__ = [
     "Arithmetic",
     "InList",
     "Like",
+    "split_conjuncts",
+    "conjoin",
+    "resolves_in",
     "AggregateSpec",
     "PlanNode",
     "Scan",
@@ -289,6 +292,41 @@ class Like(Expr):
 
     def result_type(self, schema: Schema) -> AttrType:
         return AttrType.INT
+
+
+# ----------------------------------------------------------------------
+# Conjunct helpers (the compiler, the planner and key probes share them)
+# ----------------------------------------------------------------------
+def split_conjuncts(expr: Optional[Expr]) -> list[Expr]:
+    """Flatten nested ANDs into an ordered conjunct list (empty for
+    ``None``)."""
+    if expr is None:
+        return []
+    if isinstance(expr, And):
+        out: list[Expr] = []
+        for term in expr.terms:
+            out.extend(split_conjuncts(term))
+        return out
+    return [expr]
+
+
+def conjoin(conjuncts: Sequence[Expr]) -> Optional[Expr]:
+    """One predicate from an ordered conjunct list (``None`` if empty)."""
+    if not conjuncts:
+        return None
+    if len(conjuncts) == 1:
+        return conjuncts[0]
+    return And(*conjuncts)
+
+
+def resolves_in(expr: Expr, schema: Schema) -> bool:
+    """Whether every column of ``expr`` resolves in ``schema``."""
+    for col in expr.columns():
+        try:
+            col._resolve(schema)
+        except QueryError:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ serves every later statement of that shape by substituting the
 statement's own literals into the cached tree.  :class:`LiteralBinder`
 does that substitution: it rebuilds only the nodes on a path to a
 replaced :class:`~repro.db.ra.ast.Literal` and returns every other
-subtree as is, so sharing inside the tree (consolidated scans) is kept.
+subtree as is.
 
 A replaced literal has the type its slot was planned with, so every
 schema, resolved column and equi-join pair a node constructor derived
@@ -42,23 +42,10 @@ __all__ = ["LiteralBinder"]
 
 
 class LiteralBinder:
-    """Substitutes ``literals[id(node)]`` for each listed Literal node.
-
-    One binder serves both trees of one binding (the optimized plan and
-    the raw plan); it remembers each node it has bound, so a node
-    reached twice is bound once.
-    """
+    """Substitutes ``literals[id(node)]`` for each listed Literal node."""
 
     def __init__(self, literals: Mapping[int, Literal]):
         self._literals = literals
-        self._bound: Dict[int, PlanNode] = {}
-
-    def plan(self, node: PlanNode) -> PlanNode:
-        """``node`` with the binding's literals substituted."""
-        bound = self._bound.get(id(node))
-        if bound is None:
-            bound = self._bound[id(node)] = self._rebuild(node)
-        return bound
 
     def expr(self, expr: Expr) -> Expr:
         """``expr`` with the binding's literals substituted (the same
@@ -86,7 +73,9 @@ class LiteralBinder:
             return expr if term is expr.term else Like(term, expr.pattern)
         return expr  # ColumnRef
 
-    def _rebuild(self, node: PlanNode) -> PlanNode:
+    def plan(self, node: PlanNode) -> PlanNode:
+        """``node`` with the binding's literals substituted (the same
+        object when its subtree holds none of them)."""
         changes: Dict[str, object] = {}
         for name in node.child_fields:
             child = getattr(node, name)

@@ -39,8 +39,8 @@ from repro.db.ra.ast import (
     Scan,
     Select,
     UnionAll,
+    split_conjuncts,
 )
-from repro.db.ra.rules import split_conjuncts
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.db.types import AttrType
@@ -59,33 +59,9 @@ __all__ = [
 Row = Tuple[Any, ...]
 
 
-Memo = Dict[int, Multiset]
-
-
-def evaluate(plan: PlanNode, db: Database, memo: Memo | None = None) -> Multiset:
+def evaluate(plan: PlanNode, db: Database) -> Multiset:
     """Evaluate ``plan`` against ``db``, returning a signed multiset
-    whose support is the query answer.
-
-    ``memo`` caches results by node *identity* for the duration of one
-    call: planner-consolidated plans share one object for repeated
-    ``Scan`` / ``σ(Scan)`` subtrees, so the shared work runs once per
-    evaluation.  Consumers never mutate the returned multisets
-    (filter/map/union all allocate), so sharing the cached object is
-    safe.  The memo must not outlive the call — the next world sample
-    invalidates every entry.
-    """
-    if memo is None:
-        memo = {}
-    key = id(plan)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = _evaluate(plan, db, memo)
-    memo[key] = result
-    return result
-
-
-def _evaluate(plan: PlanNode, db: Database, memo: Memo) -> Multiset:
+    whose support is the query answer."""
     if isinstance(plan, Scan):
         return db.table(plan.table_name).as_multiset()
 
@@ -96,36 +72,36 @@ def _evaluate(plan: PlanNode, db: Database, memo: Memo) -> Multiset:
             rows = probe_rows(table, plan.child.schema, plan.predicate, predicate)
             if rows is not None:
                 return Multiset(rows)
-        child = evaluate(plan.child, db, memo)
+        child = evaluate(plan.child, db)
         return child.filter_rows(predicate)
 
     if isinstance(plan, Project):
-        child = evaluate(plan.child, db, memo)
+        child = evaluate(plan.child, db)
         compiled = [expr.bind(plan.child.schema) for expr, _ in plan.outputs]
         return child.map_rows(lambda row: tuple(fn(row) for fn in compiled))
 
     if isinstance(plan, (Join, CrossProduct)):
-        return _evaluate_join(plan, db, memo)
+        return _evaluate_join(plan, db)
 
     if isinstance(plan, UnionAll):
-        return evaluate(plan.left, db, memo) + evaluate(plan.right, db, memo)
+        return evaluate(plan.left, db) + evaluate(plan.right, db)
 
     if isinstance(plan, Distinct):
-        child = evaluate(plan.child, db, memo)
+        child = evaluate(plan.child, db)
         out = Multiset()
         for row in child.support():
             out.add(row, 1)
         return out
 
     if isinstance(plan, GroupAggregate):
-        return _evaluate_aggregate(plan, db, memo)
+        return _evaluate_aggregate(plan, db)
 
     if isinstance(plan, AggLookup):
-        return _evaluate_agg_lookup(plan, db, memo)
+        return _evaluate_agg_lookup(plan, db)
 
     if isinstance(plan, OrderBy):
         # A multiset has no order; ordering only affects evaluate_rows.
-        return evaluate(plan.child, db, memo)
+        return evaluate(plan.child, db)
 
     if isinstance(plan, Limit):
         raise PlanError(
@@ -214,9 +190,9 @@ def access_paths(plan: PlanNode, db: Database) -> list[str]:
 # ----------------------------------------------------------------------
 # Joins
 # ----------------------------------------------------------------------
-def _evaluate_join(plan: Join | CrossProduct, db: Database, memo: Memo) -> Multiset:
-    left = evaluate(plan.left, db, memo)
-    right = evaluate(plan.right, db, memo)
+def _evaluate_join(plan: Join | CrossProduct, db: Database) -> Multiset:
+    left = evaluate(plan.left, db)
+    right = evaluate(plan.right, db)
     if isinstance(plan, Join):
         left_key = [c.bind(plan.left.schema) for c, _ in plan.equi_pairs]
         right_key = [c.bind(plan.right.schema) for _, c in plan.equi_pairs]
@@ -293,8 +269,8 @@ def compute_aggregates(
     return tuple(values)
 
 
-def _evaluate_aggregate(plan: GroupAggregate, db: Database, memo: Memo) -> Multiset:
-    child = evaluate(plan.child, db, memo)
+def _evaluate_aggregate(plan: GroupAggregate, db: Database) -> Multiset:
+    child = evaluate(plan.child, db)
     group_fns = [expr.bind(plan.child.schema) for expr, _ in plan.group_by]
     arg_fns = [
         spec.arg.bind(plan.child.schema) if spec.arg is not None else None
@@ -320,9 +296,9 @@ def _evaluate_aggregate(plan: GroupAggregate, db: Database, memo: Memo) -> Multi
     return out
 
 
-def _evaluate_agg_lookup(plan: AggLookup, db: Database, memo: Memo) -> Multiset:
-    outer = evaluate(plan.outer, db, memo)
-    inner = evaluate(plan.inner, db, memo)
+def _evaluate_agg_lookup(plan: AggLookup, db: Database) -> Multiset:
+    outer = evaluate(plan.outer, db)
+    inner = evaluate(plan.inner, db)
     values: Dict[Any, Any] = {}
     for row in inner.support():
         values[row[0]] = row[1]

@@ -1,48 +1,65 @@
-"""The cost-based query planner: an ordered rule program over plans.
+"""The query planner: projection pruning over compiled plans.
 
-The compiler (:mod:`repro.db.sql.compiler`) lowers SQL to a correct
-but literal plan.  :class:`Planner` rewrites that plan before it is
-cached or executed — the shape follows Calcite-style planner objects:
-a reusable instance holding a rule program, applied to a fixpoint,
-followed by two whole-tree phases (projection pruning, repeated-scan
-consolidation).  Planning returns a :class:`PlannedQuery` carrying the
-original tree, the rewritten tree and the rewrite trace, so callers
-can run either form (``optimize=False``) and render an
-:meth:`~PlannedQuery.explain` report.
+The compiler (:mod:`repro.db.sql.compiler`) lowers SQL to a plan and
+decides where each conjunct of the WHERE clause is evaluated.
+:class:`Planner` then narrows rows before they are joined or grouped
+(:func:`prune_projections`) and records each narrowing in a trace.
+Planning returns a :class:`PlannedQuery`: the tree the session runs,
+the trace, and an :meth:`~PlannedQuery.explain` report.
 
-The contract that makes rewrites safe under sampling: every rule
-preserves the plan's multiset answer on **every** possible world, so
-optimized and unoptimized plans yield bit-identical deterministic
-results and bit-identical marginals for the same chain.  Factor-graph
-pruning — sampling only the query-relevant subgraph — is *not* a plan
-rewrite; it lives in :func:`repro.mcmc.targeted.plan_restriction` and
-composes with the planner inside the session.
+Pruning preserves the plan's multiset answer on **every** possible
+world, so the pruned tree yields the compiled tree's deterministic
+results and, for the same chain, its marginals bit for bit.
+Factor-graph pruning — sampling only the query-relevant subgraph — is
+*not* a plan rewrite; it lives in
+:func:`repro.mcmc.targeted.plan_restriction` and composes with the
+planner inside the session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.db.database import Database
-from repro.db.ra.ast import Literal, PlanNode
+from repro.db.ra.ast import (
+    AggLookup,
+    ColumnRef,
+    CrossProduct,
+    Distinct,
+    Expr,
+    GroupAggregate,
+    Join,
+    Limit,
+    Literal,
+    OrderBy,
+    PlanNode,
+    Project,
+    Scan,
+    Select,
+    UnionAll,
+)
 from repro.db.ra.bind import LiteralBinder
 from repro.db.ra.eval import access_paths
-from repro.db.ra.rules import (
-    DEFAULT_RULES,
-    OnApply,
-    Rule,
-    consolidate_scans,
-    prune_projections,
-    replace_children,
-)
+from repro.db.schema import Schema
+from repro.errors import PlanError
 
-__all__ = ["Planner", "PlannedQuery", "RuleApplication", "default_planner"]
+__all__ = [
+    "Planner",
+    "PlannedQuery",
+    "RuleApplication",
+    "default_planner",
+    "prune_projections",
+    "replace_children",
+]
+
+# Callback that records one rewrite: ``on_apply(rule_name, detail)``.
+OnApply = Callable[[str, str], None]
 
 
 @dataclass(frozen=True)
 class RuleApplication:
-    """One recorded rewrite: which rule fired, and where."""
+    """One recorded rewrite: which rewrite fired, and where."""
 
     rule: str
     detail: str
@@ -52,46 +69,29 @@ class RuleApplication:
 
 
 class PlannedQuery:
-    """A compiled query in both its raw and optimized forms.
+    """A planned query: the tree to run and the rewrite trace that
+    produced it from the compiled tree."""
 
-    ``raw`` is the compiler's literal plan, ``plan`` the planner's
-    rewrite of it; ``trace`` records every rule application in order.
-    Both trees answer every query identically on every world — the
-    session's ``optimize=False`` escape hatch simply executes ``raw``.
+    __slots__ = ("plan", "trace")
 
-    :meth:`bind` derives the same query with new literal values; the
-    derived query builds each of its trees only when first asked.
-    """
-
-    __slots__ = ("_raw", "_plan", "trace", "_source", "_binder")
-
-    def __init__(
-        self,
-        raw: PlanNode,
-        plan: PlanNode,
-        trace: Tuple[RuleApplication, ...] = (),
-    ):
-        self._raw: Optional[PlanNode] = raw
-        self._plan: Optional[PlanNode] = plan
+    def __init__(self, plan: PlanNode, trace: Tuple[RuleApplication, ...] = ()):
+        self.plan = plan
         self.trace = trace
-        self._source: Optional[PlannedQuery] = None
-        self._binder: Optional[LiteralBinder] = None
 
     def bind(
         self, literals: Sequence[Literal], values: Sequence[Any]
     ) -> "PlannedQuery":
         """This query with ``values[i]`` in place of ``literals[i]``.
 
-        ``literals`` are Literal nodes of this query's trees, each to
+        ``literals`` are Literal nodes of this query's tree, each to
         receive a value of its own type.  The caller guarantees that
         two values are equal exactly when the literals they replace
-        are: the planner may have shared two subtrees whose literals
-        are equal, and the bound query must be the one planning its own
-        literals would give.
-
-        The bound query keeps this query's ``trace``: the same rules
-        fired at the same nodes, but its details render this query's
-        literals.  To explain a statement, plan its own text.
+        are: the compiler matches a select-list expression to its
+        GROUP BY twin by equality, and the bound query must be the one
+        planning its own literals would give.  The bound query keeps this
+        query's ``trace``: the same rewrites fired at the same nodes,
+        but its details render this query's literals.  To explain a
+        statement, plan its own text.
         """
         replaced = {
             id(old): Literal(new)
@@ -100,46 +100,20 @@ class PlannedQuery:
         }
         if not replaced:
             return self
-        bound = PlannedQuery.__new__(PlannedQuery)
-        bound._raw = bound._plan = None
-        bound.trace = self.trace
-        bound._source = self
-        bound._binder = LiteralBinder(replaced)
-        return bound
-
-    @property
-    def raw(self) -> PlanNode:
-        if self._raw is None:
-            assert self._source is not None and self._binder is not None
-            self._raw = self._binder.plan(self._source.raw)
-        return self._raw
-
-    @property
-    def plan(self) -> PlanNode:
-        if self._plan is None:
-            assert self._source is not None and self._binder is not None
-            self._plan = self._binder.plan(self._source.plan)
-        return self._plan
-
-    def chosen(self, optimize: bool) -> PlanNode:
-        """The tree to execute: rewritten, or the raw escape hatch."""
-        return self.plan if optimize else self.raw
+        return PlannedQuery(LiteralBinder(replaced).plan(self.plan), self.trace)
 
     def explain(self, db: Optional[Database] = None) -> str:
-        """A human-readable planning report: the optimized tree, the
-        access path of each primary-key read against ``db`` (when
-        given), the rewrite trace, and (when anything changed) the
-        original tree."""
+        """A human-readable planning report: the tree, the access path
+        of each primary-key read against ``db`` (when given), and the
+        rewrite trace."""
         lines = ["plan:", _indent(self.plan.describe())]
         if db is not None:
             lines.extend(access_paths(self.plan, db))
         if not self.trace:
             lines.append("rewrites: (none)")
-            return "\n".join(lines)
-        lines.append("rewrites:")
-        lines.extend(f"  {application}" for application in self.trace)
-        lines.append("original:")
-        lines.append(_indent(self.raw.describe()))
+        else:
+            lines.append("rewrites:")
+            lines.extend(f"  {application}" for application in self.trace)
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -151,74 +125,200 @@ def _indent(text: str) -> str:
 
 
 class Planner:
-    """Applies an ordered rule program to plan trees.
-
-    Parameters
-    ----------
-    rules:
-        The rewrite program, tried in order at every node, bottom-up,
-        to a fixpoint (defaults to :data:`repro.db.ra.rules.DEFAULT_RULES`).
-    max_passes:
-        Upper bound on full rewrite passes; cascading pushdowns need
-        one pass per plan level, so the default covers any realistic
-        tree while guaranteeing termination against a cycling rule set.
-    prune, consolidate:
-        Toggles for the whole-tree phases (projection pruning below
-        joins/aggregations, repeated-scan sharing).
-    """
-
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        *,
-        max_passes: int = 10,
-        prune: bool = True,
-        consolidate: bool = True,
-    ):
-        self.rules: Tuple[Rule, ...] = (
-            tuple(rules) if rules is not None else DEFAULT_RULES
-        )
-        self.max_passes = max_passes
-        self.prune = prune
-        self.consolidate = consolidate
+    """Prunes compiled plans and records what it narrowed."""
 
     def plan(self, plan: PlanNode) -> PlannedQuery:
-        """Rewrite ``plan``; the input tree is never mutated."""
+        """Prune ``plan``; the input tree is never mutated."""
         trace: List[RuleApplication] = []
 
         def on_apply(rule: str, detail: str) -> None:
             trace.append(RuleApplication(rule, detail))
 
-        rewritten = plan
-        for _ in range(self.max_passes):
-            rewritten, changed = self._rewrite_pass(rewritten, on_apply)
-            if not changed:
-                break
-        if self.prune:
-            rewritten = prune_projections(rewritten, on_apply)
-        if self.consolidate:
-            rewritten = consolidate_scans(rewritten, on_apply)
-        return PlannedQuery(plan, rewritten, tuple(trace))
-
-    def _rewrite_pass(
-        self, node: PlanNode, on_apply: OnApply
-    ) -> Tuple[PlanNode, bool]:
-        changed = False
-        children: List[PlanNode] = []
-        for child in node.children():
-            new_child, child_changed = self._rewrite_pass(child, on_apply)
-            changed = changed or child_changed
-            children.append(new_child)
-        node = replace_children(node, children)
-        for rule in self.rules:
-            replacement = rule.apply(node)
-            if replacement is not None:
-                on_apply(rule.name, repr(node))
-                node = replacement
-                changed = True
-        return node, changed
+        return PlannedQuery(prune_projections(plan, on_apply), tuple(trace))
 
 
 def default_planner() -> Planner:
-    """The planner the session uses unless one is injected."""
+    """The planner the session uses."""
     return Planner()
+
+
+# ----------------------------------------------------------------------
+# Tree surgery
+# ----------------------------------------------------------------------
+def replace_children(node: PlanNode, children: Sequence[PlanNode]) -> PlanNode:
+    """Rebuild ``node`` over ``children`` (same node if nothing changed).
+
+    Nodes compute schemas and bind expressions in their constructors,
+    so replacement goes through the constructor — a child whose schema
+    no longer satisfies the node's expressions fails fast here.
+    """
+    current = node.children()
+    if len(current) == len(children) and all(
+        a is b for a, b in zip(current, children)
+    ):
+        return node
+    if isinstance(node, Select):
+        return Select(children[0], node.predicate)
+    if isinstance(node, Project):
+        return Project(children[0], node.outputs)
+    if isinstance(node, Join):
+        return Join(children[0], children[1], node.condition)
+    if isinstance(node, CrossProduct):
+        return CrossProduct(children[0], children[1])
+    if isinstance(node, UnionAll):
+        return UnionAll(children[0], children[1])
+    if isinstance(node, Distinct):
+        return Distinct(children[0])
+    if isinstance(node, GroupAggregate):
+        return GroupAggregate(children[0], node.group_by, node.aggregates)
+    if isinstance(node, AggLookup):
+        inner = children[1]
+        if not isinstance(inner, GroupAggregate):
+            raise PlanError("AggLookup inner must stay a GroupAggregate")
+        return AggLookup(
+            children[0], inner, node.outer_key, node.output_name, node.default
+        )
+    if isinstance(node, OrderBy):
+        return OrderBy(children[0], node.keys)
+    if isinstance(node, Limit):
+        return Limit(children[0], node.n)
+    raise PlanError(f"unknown plan node {type(node).__name__}")
+
+
+# ----------------------------------------------------------------------
+# Projection pruning
+# ----------------------------------------------------------------------
+def prune_projections(
+    plan: PlanNode, on_apply: Optional[OnApply] = None
+) -> PlanNode:
+    """Insert narrowing projections below joins and aggregations.
+
+    A top-down required-column analysis threads the set of attribute
+    names each subtree must produce; where a join or aggregation input
+    carries unneeded columns, a name-preserving :class:`Project` is
+    inserted so rows narrow *before* they are joined or grouped.  The
+    root's schema is never changed, and positional operators
+    (``UNION ALL``, ``DISTINCT``) require their full input — narrowing
+    below them would change deduplication semantics.
+    """
+    return _prune(plan, None, on_apply)
+
+
+def _resolved_names(expr: Expr, schema: Schema) -> Set[str]:
+    """Exact attribute names of ``schema`` referenced by ``expr``."""
+    return {
+        schema.attributes[col._resolve(schema)].name for col in expr.columns()
+    }
+
+
+def _prune(
+    node: PlanNode, required: Optional[Set[str]], on_apply: Optional[OnApply]
+) -> PlanNode:
+    """Rebuild ``node`` so its schema keeps (at least) ``required``
+    attribute names; ``None`` means every column is required."""
+    if isinstance(node, Scan):
+        return node
+
+    if isinstance(node, Select):
+        need = _extend(required, _resolved_names(node.predicate, node.schema))
+        return replace_children(node, (_prune(node.child, need, on_apply),))
+
+    if isinstance(node, Project):
+        child_need: Set[str] = set()
+        for expr, _name in node.outputs:
+            child_need |= _resolved_names(expr, node.child.schema)
+        return replace_children(
+            node, (_prune(node.child, child_need, on_apply),)
+        )
+
+    if isinstance(node, (Join, CrossProduct)):
+        condition = node.condition if isinstance(node, Join) else None
+        cond_names = (
+            _resolved_names(condition, node.schema)
+            if condition is not None
+            else set()
+        )
+        sides: List[PlanNode] = []
+        for child in (node.left, node.right):
+            names = {a.name for a in child.schema.attributes}
+            side_need = (
+                None
+                if required is None
+                else (required | cond_names) & names
+            )
+            pruned = _prune(child, side_need, on_apply)
+            sides.append(_narrow(pruned, side_need, on_apply))
+        return replace_children(node, tuple(sides))
+
+    if isinstance(node, (UnionAll, Distinct)):
+        # Positional semantics: every input column participates.
+        return replace_children(
+            node, tuple(_prune(c, None, on_apply) for c in node.children())
+        )
+
+    if isinstance(node, GroupAggregate):
+        child_need = set()
+        for expr, _name in node.group_by:
+            child_need |= _resolved_names(expr, node.child.schema)
+        for spec in node.aggregates:
+            if spec.arg is not None:
+                child_need |= _resolved_names(spec.arg, node.child.schema)
+        pruned = _prune(node.child, child_need, on_apply)
+        return replace_children(
+            node, (_narrow(pruned, child_need, on_apply),)
+        )
+
+    if isinstance(node, AggLookup):
+        outer_names = {a.name for a in node.outer.schema.attributes}
+        outer_need = (
+            None
+            if required is None
+            else (required | _resolved_names(node.outer_key, node.outer.schema))
+            & outer_names
+        )
+        outer = _narrow(
+            _prune(node.outer, outer_need, on_apply), outer_need, on_apply
+        )
+        inner = _prune(node.inner, None, on_apply)
+        return replace_children(node, (outer, inner))
+
+    if isinstance(node, OrderBy):
+        need = required
+        for expr, _descending in node.keys:
+            need = _extend(need, _resolved_names(expr, node.child.schema))
+        return replace_children(node, (_prune(node.child, need, on_apply),))
+
+    if isinstance(node, Limit):
+        return replace_children(
+            node, (_prune(node.child, required, on_apply),)
+        )
+
+    raise PlanError(f"unknown plan node {type(node).__name__}")
+
+
+def _extend(required: Optional[Set[str]], extra: Set[str]) -> Optional[Set[str]]:
+    return None if required is None else required | extra
+
+
+def _narrow(
+    child: PlanNode, required: Optional[Set[str]], on_apply: Optional[OnApply]
+) -> PlanNode:
+    """Wrap ``child`` in a name-preserving projection onto ``required``
+    (no-op when everything is required)."""
+    if required is None:
+        return child
+    attrs = child.schema.attributes
+    keep = [a.name for a in attrs if a.name in required]
+    if len(keep) == len(attrs):
+        return child
+    if not keep:
+        # COUNT(*)-style consumers reference no column but still count
+        # rows; keep one column so multiplicities survive.
+        keep = [attrs[0].name]
+    if on_apply is not None:
+        dropped = len(attrs) - len(keep)
+        on_apply(
+            "prune-projections",
+            f"narrowed {child!r} to {len(keep)} columns (-{dropped})",
+        )
+    return Project(child, [(ColumnRef(name), name) for name in keep])

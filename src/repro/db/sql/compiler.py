@@ -3,8 +3,12 @@
 The compiler performs the handful of transformations the paper's
 queries need:
 
-* **predicate pushdown** — single-table conjuncts evaluate below joins
-  (Query 4 filters ``T1.STRING='Boston'`` before the self-join);
+* **conjunct placement** — each WHERE conjunct is evaluated at the
+  first node where it resolves: single-table conjuncts below joins
+  (Query 4 filters ``T1.STRING='Boston'`` before the self-join), a
+  conjunct over a scalar subquery right above the lookup that computes
+  it.  The compiler is the one place that decides this; the planner
+  (:mod:`repro.db.ra.planner`) only prunes columns;
 * **join detection** — cross products plus connecting equality
   conjuncts become hash joins;
 * **decorrelation** — correlated scalar aggregate subqueries (Query 3)
@@ -13,11 +17,14 @@ queries need:
 * **aggregate planning** — select-list aggregates become
   :class:`~repro.db.ra.ast.GroupAggregate` with HAVING as a filter
   above it.
+
+A select list that re-emits its input unchanged (``SELECT *`` over one
+table) compiles to no :class:`~repro.db.ra.ast.Project` at all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.db.database import Database
 from repro.db.ra.ast import (
@@ -43,6 +50,9 @@ from repro.db.ra.ast import (
     Project,
     Scan,
     Select,
+    conjoin,
+    resolves_in,
+    split_conjuncts,
 )
 from repro.db.ra.eval import zero_for
 from repro.db.schema import Schema
@@ -67,26 +77,6 @@ def compile_select(stmt: SelectStmt, db: Database) -> PlanNode:
 # ----------------------------------------------------------------------
 # Expression utilities
 # ----------------------------------------------------------------------
-def split_conjuncts(expr: Optional[Expr]) -> list[Expr]:
-    """Flatten nested ANDs into a conjunct list (empty for ``None``)."""
-    if expr is None:
-        return []
-    if isinstance(expr, And):
-        out: list[Expr] = []
-        for term in expr.terms:
-            out.extend(split_conjuncts(term))
-        return out
-    return [expr]
-
-
-def conjoin(conjuncts: list[Expr]) -> Optional[Expr]:
-    if not conjuncts:
-        return None
-    if len(conjuncts) == 1:
-        return conjuncts[0]
-    return And(*conjuncts)
-
-
 def rewrite(expr: Expr, mapper) -> Expr:
     """Rebuild ``expr`` bottom-up, replacing nodes via ``mapper``.
 
@@ -140,16 +130,6 @@ def find_nodes(expr: Expr, node_type) -> list:
     return found
 
 
-def resolves_in(expr: Expr, schema: Schema) -> bool:
-    """Whether every column of ``expr`` resolves in ``schema``."""
-    for col in expr.columns():
-        try:
-            col._resolve(schema)
-        except QueryError:
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # The compiler
 # ----------------------------------------------------------------------
@@ -165,11 +145,7 @@ class _Compiler:
         with_subqueries = [c for c in conjuncts if find_nodes(c, ScalarSubquery)]
 
         plan = self._from_plan(stmt, plain)
-        plan, rewritten = self._apply_subqueries(plan, with_subqueries)
-        residual = conjoin(rewritten)
-        if residual is not None:
-            plan = Select(plan, residual)
-
+        plan = self._apply_subqueries(plan, with_subqueries)
         plan = self._apply_select_list(stmt, plan)
         if stmt.distinct:
             plan = Distinct(plan)
@@ -208,7 +184,10 @@ class _Compiler:
         return Scan(self.db.table(ref.table).schema, alias=ref.exposed_name)
 
     def _from_plan(self, stmt: SelectStmt, conjuncts: list[Expr]) -> PlanNode:
-        """Left-deep joins over FROM tables with pushdown of ``conjuncts``."""
+        """Left-deep joins over FROM tables, each of ``conjuncts``
+        evaluated at the first node where it resolves: on its table's
+        scan, as the condition of the comma join that links its tables,
+        or right above the explicit ``JOIN`` that completes them."""
         remaining = list(conjuncts)
         scans = [self._scan(ref) for ref in stmt.from_tables]
 
@@ -238,22 +217,24 @@ class _Compiler:
                 plan = Join(plan, right, conjoin(linking))
             else:
                 plan = CrossProduct(plan, right)
-        for ref, condition in stmt.joins:
-            right = local_filter(self._scan(ref))
-            plan = Join(plan, right, condition)
-        # Anything left (e.g. three-way predicates) filters above the joins.
-        leftover = conjoin(remaining)
-        if leftover is not None:
-            plan = Select(plan, leftover)
+        rights = [local_filter(self._scan(ref)) for ref, _ in stmt.joins]
+        spanning = list(remaining)  # what the scans and comma joins left
+        for right, (_, condition) in zip(rights, stmt.joins):
+            plan = local_filter(Join(plan, right, condition))
+        # Each of them must resolve over the whole FROM list, even one
+        # placed at an inner join before a later table made one of its
+        # names ambiguous: binding the failures raises their error.
+        unresolved = [c for c in spanning if not resolves_in(c, plan.schema)]
+        if unresolved:
+            And(*unresolved).bind(plan.schema)
         return plan
 
     # -- scalar subqueries ------------------------------------------------
-    def _apply_subqueries(
-        self, plan: PlanNode, conjuncts: list[Expr]
-    ) -> tuple[PlanNode, list[Expr]]:
-        """Decorrelate every scalar subquery; rewrite conjuncts to use the
-        synthetic ``__sqN`` columns added by AggLookup."""
-        rewritten: list[Expr] = []
+    def _apply_subqueries(self, plan: PlanNode, conjuncts: list[Expr]) -> PlanNode:
+        """Decorrelate every scalar subquery into an AggLookup that adds
+        a synthetic ``__sqN`` column, and filter by each conjunct,
+        rewritten to read those columns, right above the lookup of its
+        last subquery: the first node where it resolves."""
         for conjunct in conjuncts:
             # Keyed by object identity: ScalarSubquery wraps a mutable
             # SelectStmt and is therefore unhashable; rewrite() preserves
@@ -264,15 +245,14 @@ class _Compiler:
                 self._subquery_counter += 1
                 plan = self._decorrelate(plan, subquery.query, name)
                 replacements[id(subquery)] = ColumnRef(name)
-            rewritten.append(
-                rewrite(
-                    conjunct,
-                    lambda e: replacements.get(id(e))
-                    if isinstance(e, ScalarSubquery)
-                    else None,
-                )
+            rewritten = rewrite(
+                conjunct,
+                lambda e: replacements.get(id(e))
+                if isinstance(e, ScalarSubquery)
+                else None,
             )
-        return plan, rewritten
+            plan = Select(plan, rewritten)
+        return plan
 
     def _decorrelate(self, outer: PlanNode, inner: SelectStmt, name: str) -> PlanNode:
         if (
@@ -345,7 +325,7 @@ class _Compiler:
                 (ColumnRef(a.name), a.name) for a in plan.schema.attributes
                 if not a.name.startswith("__sq")
             ]
-            return Project(plan, outputs)
+            return _project(plan, outputs)
 
         agg_calls: list[AggCall] = []
         for item in stmt.items:
@@ -362,7 +342,7 @@ class _Compiler:
                     for i, item in enumerate(stmt.items)
                 ]
             )
-            return Project(plan, outputs)
+            return _project(plan, outputs)
 
         return self._aggregate_plan(stmt, plan, agg_calls)
 
@@ -432,7 +412,7 @@ class _Compiler:
                 for i, item in enumerate(stmt.items)
             ]
         )
-        return Project(result, outputs)
+        return _project(result, outputs)
 
     @staticmethod
     def _output_name(item, index: int) -> str:
@@ -443,6 +423,23 @@ class _Compiler:
         if isinstance(item.expr, AggCall):
             return item.expr.func
         return f"col{index}"
+
+
+def _project(plan: PlanNode, outputs: List[Tuple[Expr, str]]) -> PlanNode:
+    """``Project(plan, outputs)``, or ``plan`` itself when the outputs
+    re-emit its columns unchanged: same columns, names and order."""
+    attrs = plan.schema.attributes
+    if len(outputs) != len(attrs):
+        return Project(plan, outputs)
+    for index, ((expr, name), attr) in enumerate(zip(outputs, attrs)):
+        if not isinstance(expr, ColumnRef) or name != attr.name:
+            return Project(plan, outputs)
+        try:
+            if expr._resolve(plan.schema) != index:
+                return Project(plan, outputs)
+        except QueryError:
+            return Project(plan, outputs)
+    return plan
 
 
 def _unique_names(

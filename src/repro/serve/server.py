@@ -324,10 +324,10 @@ class ReproServer:
                 raise EvaluationError(
                     f"only SELECT can be evaluated probabilistically ({kind})"
                 )
-            # Serving uses the planner-rewritten tree: the optimizer
-            # contract (same answers as the compiled tree) is exactly
-            # what lets the shared marginal cache stay keyed on the
-            # normalized SQL fingerprint alone.
+            # Projection pruning gives the compiled tree's answers on
+            # every world, so the plan a statement runs is a function
+            # of its text: the shared marginal cache can stay keyed on
+            # the normalized SQL fingerprint alone.
             plan = planned.plan
             version, snapshot = self._committed_state()
         columns = tuple(a.name for a in plan.schema.attributes) + ("probability",)

@@ -14,10 +14,10 @@ import repro
 from repro.db.database import Database
 from repro.db.multiset import Multiset
 from repro.db.ra.ast import And, ColumnRef, Comparison, Join, Literal, Scan, Select
-from repro.db.ra.eval import evaluate, key_probe
-from repro.db.ra.rules import PushSelectIntoJoin
+from repro.db.ra.eval import evaluate, evaluate_rows, key_probe
 from repro.db.schema import AttrType, Schema
-from repro.db.sql.compiler import plan_query
+from repro.db.sql.compiler import compile_select, plan_query
+from repro.db.sql.parser import parse_statement
 
 
 def make_db():
@@ -127,10 +127,15 @@ def test_select_pushed_under_join_probes(monkeypatch):
     )
     expected = evaluate(original, db)
     assert len(expected) == 1
-    rewritten = PushSelectIntoJoin().apply(original)
-    assert isinstance(rewritten, Join) and isinstance(rewritten.left, Select)
+    # The compiler evaluates each conjunct on the scan it resolves in.
+    compiled = plan_query(
+        db,
+        "SELECT * FROM TOKEN T JOIN PAIR P ON T.DOC_ID = P.A "
+        "WHERE T.TOK_ID = 13 AND P.B = 'c'",
+    )
+    assert isinstance(compiled, Join) and isinstance(compiled.left, Select)
     _disable_scans(monkeypatch, db.table("TOKEN"))
-    assert evaluate(rewritten, db) == expected
+    assert evaluate(compiled, db) == expected
 
 
 class TestSessionByKey:
@@ -146,7 +151,8 @@ class TestSessionByKey:
         session = self.session(monkeypatch)
         sql = "SELECT TOK_ID, STRING FROM TOKEN WHERE TOK_ID = 17 AND DOC_ID < 5"
         assert session.execute(sql).fetchall() == [(17, "w3")]
-        assert session.execute(sql, optimize=False).fetchall() == [(17, "w3")]
+        tree = compile_select(parse_statement(sql), session.database)
+        assert evaluate_rows(tree, session.database) == [(17, "w3")]
 
     def test_update(self, monkeypatch):
         session = self.session(monkeypatch)

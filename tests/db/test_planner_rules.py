@@ -1,43 +1,30 @@
-"""Unit tests of the planner's rewrite rules (ISSUE 10 tentpole).
+"""Where the compiler places conjuncts, and the planner's pruning.
 
-Each rule preserves the plan's multiset answer on every possible world;
-these tests check both the structural rewrite (the rule fired and
-produced the expected shape) and, for every rewritten tree, answer
-equality against the original under :func:`evaluate`.
+The compiler evaluates each WHERE conjunct at the first node where it
+resolves and emits no projection that re-emits its input; the planner
+only narrows columns.  Each test checks the structure and answer
+equality against a reference tree under :func:`evaluate`.
 """
 
 import pytest
 
 from repro.db.database import Database
-from repro.db.multiset import Multiset
-from repro.db.ra import (
-    DEFAULT_RULES,
-    PlannedQuery,
-    Planner,
-    default_planner,
-)
+from repro.db.ra import PlannedQuery, Planner, default_planner
 from repro.db.ra.ast import (
+    AggLookup,
     And,
     ColumnRef,
     Comparison,
     CrossProduct,
+    GroupAggregate,
     Join,
     Literal,
     Project,
     Scan,
     Select,
-    UnionAll,
 )
-from repro.db.ra.eval import evaluate
-from repro.db.ra.rules import (
-    CrossToJoin,
-    MergeSelects,
-    PushSelectBelowUnion,
-    PushSelectIntoJoin,
-    RemoveIdentityProject,
-    consolidate_scans,
-    prune_projections,
-)
+from repro.db.ra.eval import evaluate, evaluate_rows
+from repro.db.ra.planner import prune_projections
 from repro.db.schema import Attribute, AttrType, Schema
 from repro.db.sql.compiler import plan_query
 
@@ -86,112 +73,116 @@ def answers_equal(db, plan_a, plan_b):
     assert evaluate(plan_a, db) == evaluate(plan_b, db)
 
 
-class TestMergeSelects:
-    def test_nested_selects_merge_inner_first(self):
-        db = make_db()
-        inner = Select(scan(db, "R"), eq(ColumnRef("GRP"), Literal(1)))
-        outer = Select(inner, eq(ColumnRef("NAME"), Literal("n1")))
-        merged = MergeSelects().apply(outer)
-        assert isinstance(merged, Select)
-        assert isinstance(merged.child, Scan)
-        # Inner conjuncts come first: short-circuit guards written as
-        # ``inner AND outer`` keep their evaluation order.
-        assert isinstance(merged.predicate, And)
-        assert repr(merged.predicate.terms[0]) == repr(inner.predicate)
-        answers_equal(db, outer, merged)
+class TestConjunctPlacement:
+    """The compiler evaluates each WHERE conjunct at the first node where
+    it resolves; the planner moves none of them."""
 
-
-class TestPushSelectIntoJoin:
-    def test_side_conjuncts_move_below_join(self):
+    def test_side_conjuncts_filter_their_scans(self):
         db = make_db()
-        join = Join(
-            scan(db, "R"),
-            scan(db, "S"),
-            eq(ColumnRef("R.GRP"), ColumnRef("S.GRP")),
+        reference = Select(
+            Join(
+                scan(db, "R"),
+                scan(db, "S"),
+                eq(ColumnRef("R.GRP"), ColumnRef("S.GRP")),
+            ),
+            And(
+                eq(ColumnRef("R.NAME"), Literal("n2")),
+                eq(ColumnRef("S.TAG"), Literal("t1")),
+            ),
         )
-        predicate = And(
-            eq(ColumnRef("R.NAME"), Literal("n2")),
-            eq(ColumnRef("S.TAG"), Literal("t1")),
+        compiled = plan_query(
+            db,
+            "SELECT * FROM R JOIN S ON R.GRP = S.GRP "
+            "WHERE R.NAME = 'n2' AND S.TAG = 't1'",
         )
-        original = Select(join, predicate)
-        rewritten = PushSelectIntoJoin().apply(original)
-        assert isinstance(rewritten, Join)
-        assert isinstance(rewritten.left, Select)
-        assert isinstance(rewritten.right, Select)
-        answers_equal(db, original, rewritten)
+        assert isinstance(compiled, Join)
+        assert isinstance(compiled.left, Select)
+        assert isinstance(compiled.right, Select)
+        answers_equal(db, reference, compiled)
 
-    def test_spanning_predicate_stays_above(self):
+    def test_spanning_conjunct_sits_above_first_join_it_resolves(self):
         db = make_db()
-        join = Join(
-            scan(db, "R"),
-            scan(db, "S"),
-            eq(ColumnRef("R.GRP"), ColumnRef("S.GRP")),
+        compiled = plan_query(
+            db,
+            "SELECT * FROM R A JOIN R B ON A.GRP = B.GRP "
+            "JOIN S C ON B.GRP = C.GRP WHERE A.VAL = B.ID AND A.ID < C.ID",
         )
-        original = Select(join, eq(ColumnRef("R.VAL"), ColumnRef("S.ID")))
-        assert PushSelectIntoJoin().apply(original) is None
+        # A.ID < C.ID needs all three tables; A.VAL = B.ID only two.
+        assert isinstance(compiled, Select)
+        top = compiled.child
+        assert isinstance(top, Join)
+        assert isinstance(top.left, Select)
+        assert isinstance(top.left.child, Join)
+        assert repr(top.left.predicate) == repr(
+            eq(ColumnRef("VAL", "A"), ColumnRef("ID", "B"))
+        )
+        reference = Select(
+            Join(
+                Join(
+                    scan(db, "R", "A"),
+                    scan(db, "R", "B"),
+                    eq(ColumnRef("A.GRP"), ColumnRef("B.GRP")),
+                ),
+                scan(db, "S", "C"),
+                eq(ColumnRef("B.GRP"), ColumnRef("C.GRP")),
+            ),
+            And(
+                eq(ColumnRef("A.VAL"), ColumnRef("B.ID")),
+                Comparison("<", ColumnRef("A.ID"), ColumnRef("C.ID")),
+            ),
+        )
+        answers_equal(db, reference, compiled)
 
-
-class TestCrossToJoin:
-    def test_equi_conjunct_becomes_join(self):
+    def test_comma_join_equality_becomes_join_condition(self):
         db = make_db()
-        cross = CrossProduct(scan(db, "R"), scan(db, "S"))
-        original = Select(
-            cross,
+        reference = Select(
+            CrossProduct(scan(db, "R"), scan(db, "S")),
             And(
                 eq(ColumnRef("R.GRP"), ColumnRef("S.GRP")),
                 eq(ColumnRef("R.NAME"), Literal("n0")),
             ),
         )
-        rewritten = CrossToJoin().apply(original)
-        assert isinstance(rewritten, Join)
-        answers_equal(db, original, rewritten)
-
-
-class TestPushSelectBelowUnion:
-    def test_same_position_pushes(self):
-        db = make_db()
-        union = UnionAll(scan(db, "R", "A"), scan(db, "R", "B"))
-        original = Select(union, eq(ColumnRef("GRP"), Literal(2)))
-        rewritten = PushSelectBelowUnion().apply(original)
-        assert isinstance(rewritten, UnionAll)
-        assert isinstance(rewritten.left, Select)
-        assert isinstance(rewritten.right, Select)
-        answers_equal(db, original, rewritten)
-
-    def test_position_mismatch_refuses(self):
-        db = make_db()
-        # Branch schemas are type-compatible but the named column sits
-        # at a different position in each branch; UnionAll output rows
-        # follow the LEFT schema, so pushing the predicate into the
-        # right branch would filter the wrong attribute.
-        left = Project(
-            scan(db, "S"),
-            [(ColumnRef("ID"), "A"), (ColumnRef("GRP"), "B")],
+        compiled = plan_query(
+            db, "SELECT * FROM R, S WHERE R.GRP = S.GRP AND R.NAME = 'n0'"
         )
-        right = Project(
-            scan(db, "S"),
-            [(ColumnRef("GRP"), "X"), (ColumnRef("ID"), "A")],
-        )
-        original = Select(
-            UnionAll(left, right), eq(ColumnRef("A"), Literal(1))
-        )
-        assert PushSelectBelowUnion().apply(original) is None
+        assert isinstance(compiled, Join)
+        assert isinstance(compiled.left, Select)
+        answers_equal(db, reference, compiled)
 
-
-class TestRemoveIdentityProject:
-    def test_exact_identity_removed(self):
+    def test_subquery_conjunct_sits_above_its_lookup(self):
         db = make_db()
-        base = scan(db, "R")
-        identity = Project(
-            base, [(ColumnRef(a.name), a.name) for a in base.schema.attributes]
+        compiled = plan_query(
+            db,
+            "SELECT NAME FROM R WHERE VAL > (SELECT AVG(VAL) FROM R) "
+            "AND GRP < (SELECT COUNT(*) FROM S)",
         )
-        assert RemoveIdentityProject().apply(identity) is base
+        second = compiled.child.child
+        assert isinstance(second, AggLookup)
+        assert isinstance(second.outer, Select)
+        assert isinstance(second.outer.child, AggLookup)
+        rows = evaluate_rows(compiled, db)
+        average = sum(i * 10 for i in range(20)) / 20
+        assert rows == sorted(
+            (f"n{i % 5}",) for i in range(20) if i * 10 > average and i % 4 < 12
+        )
 
-    def test_reorder_or_rename_kept(self):
+
+class TestSelectList:
+    def test_identity_select_list_emits_no_project(self):
         db = make_db()
-        base = scan(db, "R")
-        renamed = Project(base, [(ColumnRef("R.ID"), "KEY")])
-        assert RemoveIdentityProject().apply(renamed) is None
+        assert isinstance(plan_query(db, "SELECT * FROM R"), Scan)
+        grouped = plan_query(db, "SELECT GRP FROM R GROUP BY GRP")
+        assert isinstance(grouped, GroupAggregate)
+
+    def test_reorder_rename_or_dropped_column_keeps_project(self):
+        db = make_db()
+        for sql in [
+            "SELECT ID AS IDENT, GRP, TAG FROM S",
+            "SELECT TAG, GRP, ID FROM S",
+            "SELECT S.ID, S.GRP, S.TAG FROM S",
+            "SELECT * FROM R WHERE VAL > (SELECT AVG(VAL) FROM R)",
+        ]:
+            assert isinstance(plan_query(db, sql), Project), sql
 
 
 class TestProjectionPruning:
@@ -225,41 +216,8 @@ class TestProjectionPruning:
         answers_equal(db, original, pruned)
 
 
-class TestScanConsolidation:
-    def test_identical_filtered_scans_share_one_node(self):
-        db = make_db()
-        # Two branches scanning the same table under the same alias
-        # with the same predicate — the shape decorrelated subqueries
-        # produce — collapse to one shared node object.
-        shared = UnionAll(
-            Select(scan(db, "R"), eq(ColumnRef("GRP"), Literal(1))),
-            Select(scan(db, "R"), eq(ColumnRef("GRP"), Literal(1))),
-        )
-        consolidated = consolidate_scans(shared, lambda *_: None)
-        assert consolidated.left is consolidated.right
-        answers_equal(db, shared, consolidated)
-
-    def test_different_predicates_stay_separate(self):
-        db = make_db()
-        plan = UnionAll(
-            Select(scan(db, "R"), eq(ColumnRef("GRP"), Literal(1))),
-            Select(scan(db, "R"), eq(ColumnRef("GRP"), Literal(2))),
-        )
-        consolidated = consolidate_scans(plan, lambda *_: None)
-        assert consolidated.left is not consolidated.right
-
-    def test_memoized_evaluate_computes_shared_subtree_once(self):
-        db = make_db()
-        filtered = Select(scan(db, "R"), eq(ColumnRef("GRP"), Literal(1)))
-        shared = UnionAll(filtered, filtered)
-        result = evaluate(shared, db)
-        assert isinstance(result, Multiset)
-        rows = evaluate(filtered, db)
-        assert len(result) == 2 * len(rows)
-
-
 class TestPlannerObject:
-    def test_planned_query_carries_trace_and_both_trees(self):
+    def test_planned_query_carries_trace(self):
         db = make_db()
         raw = plan_query(
             db,
@@ -267,15 +225,13 @@ class TestPlannerObject:
         )
         planned = default_planner().plan(raw)
         assert isinstance(planned, PlannedQuery)
-        assert planned.raw is raw
-        assert planned.chosen(False) is raw
-        assert planned.chosen(True) is planned.plan
+        assert planned.trace
+        assert {application.rule for application in planned.trace} == {
+            "prune-projections"
+        }
         report = planned.explain()
-        assert "plan:" in report
-        if planned.trace:
-            assert "rewrites:" in report and "original:" in report
-        else:
-            assert "rewrites: (none)" in report
+        assert "plan:" in report and "rewrites:" in report
+        assert "original:" not in report
 
     def test_planner_is_deterministic(self):
         db = make_db()
@@ -287,13 +243,10 @@ class TestPlannerObject:
 
     def test_empty_rule_program_still_prunes(self):
         db = make_db()
-        planner = Planner(rules=(), prune=True, consolidate=False)
-        raw = plan_query(db, "SELECT NAME FROM R WHERE GRP = 1")
-        planned = planner.plan(raw)
+        raw = plan_query(db, "SELECT R.NAME FROM R, S WHERE R.GRP = S.GRP")
+        planned = Planner().plan(raw)
+        assert planned.plan.describe() != raw.describe()
         answers_equal(db, raw, planned.plan)
-
-    def test_default_rules_exported(self):
-        assert len(DEFAULT_RULES) >= 5
 
 
 SQL_BATTERY = [
@@ -315,8 +268,6 @@ class TestAnswerEquivalenceBattery:
         db = make_db()
         raw = plan_query(db, sql)
         planned = default_planner().plan(raw)
-        from repro.db.ra.eval import evaluate_rows
-
         assert evaluate_rows(planned.plan, db) == evaluate_rows(raw, db)
         assert [a.name for a in planned.plan.schema.attributes] == [
             a.name for a in raw.schema.attributes

@@ -22,18 +22,25 @@ and later bindings are served from the plan cache by binding new
 literals into the cached plan.  The first binding gives every slot of
 one literal type the same value, the later ones draw each slot on its
 own, so two literals that were equal when the shape was planned differ
-afterwards (the planner shares subtrees whose literals are equal).  A
-key pin drawn from the stored rows takes one stored row's key in each
-binding, so probes find rows.  Numeric slots take INT or FLOAT literals
-whatever the column's type, some are negated, and string slots include
-a quote.  Each SELECT runs with the planner on and off, against sqlite,
-and against a fresh session that plans the statement's own text: rows
-and both planned trees must match.  Two extra shapes aim at
-literal-dependent planning: correlated counts whose two subqueries
-differ only in a literal (shared when the literals are equal), and
-GROUP BY an expression whose select-list twin matches only when their
-literals are equal.  That GROUP BY shape is the only statement allowed
-to raise, and then the fresh and the cached session must raise alike.
+afterwards.  A key pin drawn from the stored rows takes one stored
+row's key in each binding, so probes find rows.  Numeric slots take
+INT or FLOAT literals whatever the column's type, some are negated, and
+string slots include a quote.
+
+Besides keyed reads over ``T``, SELECTs take the shapes whose conjuncts
+the compiler places: ``SELECT *`` (which compiles to no projection),
+three copies of ``T`` chained by explicit ``JOIN ... ON`` with a
+conjunct spanning two of them, comma joins, and correlated
+``COUNT(*)`` subqueries next to plain conjuncts.  Each SELECT runs
+against sqlite, against the compiler's own tree evaluated without the
+planner, and against a fresh session that plans the statement's own
+text: rows and planned trees must match, and the planner may only have
+pruned projections.  Two extra shapes aim at literal-dependent
+planning: correlated counts whose two subqueries differ only in a
+literal, and GROUP BY an expression whose select-list twin matches
+only when their literals are equal.  That GROUP BY shape is the only
+statement allowed to raise, and then the fresh and the cached session
+must raise alike.
 """
 
 import sqlite3
@@ -42,6 +49,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.db.ra.eval import evaluate_rows
+from repro.db.sql.compiler import compile_select
+from repro.db.sql.parser import parse_statement
 from repro.errors import QueryError
 
 VALUES = {
@@ -107,7 +117,10 @@ def literals(draw, slots, column_type):
 
 
 @st.composite
-def predicates(draw, slots, types, key_width, rows, depth=0):
+def predicates(draw, slots, types, key_width, rows, depth=0, alias=""):
+    """A WHERE predicate over one copy of ``T``; ``alias`` (``"A."``)
+    qualifies its columns."""
+
     def key_equality(column, pin):
         kind = {"INT": int, "REAL": float, "TEXT": str}[types[column]]
         if pin is None:
@@ -116,13 +129,13 @@ def predicates(draw, slots, types, key_width, rows, depth=0):
             value = slots.add(kind, None)
             pin.append((len(slots.specs) - 1, column))
         if draw(st.booleans()):
-            return f"C{column} = {value}"
-        return f"{value} = C{column}"
+            return f"{alias}C{column} = {value}"
+        return f"{value} = {alias}C{column}"
 
     def residual():
         column = draw(st.integers(0, len(types) - 1))
         literal = draw(literals(slots, types[column]))
-        return f"C{column} {draw(st.sampled_from(OPS))} {literal}"
+        return f"{alias}C{column} {draw(st.sampled_from(OPS))} {literal}"
 
     kinds = ["pin", "residual"] + (["and", "or"] if depth < 2 else [])
     kind = draw(st.sampled_from(kinds))
@@ -140,9 +153,52 @@ def predicates(draw, slots, types, key_width, rows, depth=0):
         return " AND ".join(draw(st.permutations(terms)))
     if kind == "residual":
         return residual()
-    left = draw(predicates(slots, types, key_width, rows, depth + 1))
-    right = draw(predicates(slots, types, key_width, rows, depth + 1))
+    left = draw(predicates(slots, types, key_width, rows, depth + 1, alias))
+    right = draw(predicates(slots, types, key_width, rows, depth + 1, alias))
     return f"({left}) {kind.upper()} ({right})"
+
+
+@st.composite
+def spanning(draw, types, left, right, ops=OPS):
+    """A conjunct comparing a column of ``left`` with one of the same
+    kind (TEXT or numeric) of ``right``."""
+    column = draw(st.integers(0, len(types) - 1))
+    text = types[column] == "TEXT"
+    other = draw(st.sampled_from([c for c, t in enumerate(types) if (t == "TEXT") == text]))
+    return f"{left}.C{column} {draw(st.sampled_from(ops))} {right}.C{other}"
+
+
+@st.composite
+def select_list(draw, types, aliases):
+    """``*`` or one to three qualified columns."""
+    if draw(st.booleans()):
+        return "*"
+    columns = draw(
+        st.lists(
+            st.tuples(st.sampled_from(aliases), st.integers(0, len(types) - 1)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return ", ".join(f"{alias}.C{column}" for alias, column in columns)
+
+
+@st.composite
+def count_conjunct(draw, slots, types):
+    """A conjunct over a correlated ``COUNT(*)`` of ``T``: the one
+    aggregate whose empty value sqlite and this engine agree on."""
+    link = draw(st.integers(0, len(types) - 1))
+    column = draw(st.integers(0, len(types) - 1))
+    literal = draw(literals(slots, types[column]))
+    count = (
+        f"(SELECT COUNT(*) FROM T T1 WHERE T1.C{column} "
+        f"{draw(st.sampled_from(OPS))} {literal} AND T1.C{link} = T.C{link})"
+    )
+    numeric = [c for c, t in enumerate(types) if t != "TEXT"]
+    op = draw(st.sampled_from(OPS))
+    if numeric and draw(st.booleans()):
+        return f"T.C{draw(st.sampled_from(numeric))} {op} {count}"
+    return f"{count} {op} {slots.add(int, LITERALS[int])}"
 
 
 @st.composite
@@ -150,8 +206,8 @@ def statements(draw, types, key_width, rows):
     """``(kind, template, slots)``: a statement with ``{i}`` for slot i."""
     slots = Slots()
     numeric = [c for c, t in enumerate(types) if t != "TEXT"]
-    kinds = ["select", "select", "update", "delete", "counts"] + (["grouped"] if numeric else [])
-    kind = draw(st.sampled_from(kinds))
+    kinds = ["select", "select", "update", "delete", "counts", "star", "chain", "comma", "subquery"]
+    kind = draw(st.sampled_from(kinds + (["grouped"] if numeric else [])))
     if kind == "counts":
         column = draw(st.integers(0, len(types) - 1))
         link = draw(st.integers(0, len(types) - 1))
@@ -177,9 +233,46 @@ def statements(draw, types, key_width, rows):
             f"SELECT C{column} + {first}, COUNT(*) FROM T "
             f"GROUP BY C{column} + {second}{having}"
         ), slots
+    if kind == "chain":
+        # Three copies of T joined by explicit JOIN ... ON, a conjunct
+        # spanning two of them, and a predicate on one of them.
+        first, second = sorted(draw(st.permutations("ABC"))[:2])
+        span = draw(spanning(types, first, second))
+        on_ab = draw(spanning(types, "A", "B", ["="]))
+        on_bc = draw(spanning(types, "B", "C", ["="]))
+        alias = draw(st.sampled_from("ABC"))
+        where = draw(predicates(slots, types, key_width, rows, alias=f"{alias}."))
+        return kind, (
+            f"SELECT {draw(select_list(types, 'ABC'))} FROM T A JOIN T B ON {on_ab} "
+            f"JOIN T C ON {on_bc} WHERE {span} AND ({where})"
+        ), slots
+    if kind == "comma":
+        conjuncts = [
+            draw(predicates(slots, types, key_width, rows, alias=f"{alias}."))
+            for alias in draw(st.lists(st.sampled_from("AB"), max_size=2))
+        ]
+        if draw(st.booleans()):
+            conjuncts.append(draw(spanning(types, "A", "B")))
+        where = " AND ".join(f"({c})" for c in draw(st.permutations(conjuncts)))
+        return kind, (
+            f"SELECT {draw(select_list(types, 'AB'))} FROM T A, T B"
+            + (f" WHERE {where}" if where else "")
+        ), slots
+    if kind == "subquery":
+        conjuncts = [draw(predicates(slots, types, key_width, rows, alias="T."))]
+        conjuncts += draw(st.lists(count_conjunct(slots, types), min_size=1, max_size=2))
+        where = " AND ".join(f"({c})" for c in draw(st.permutations(conjuncts)))
+        return kind, f"SELECT {draw(select_list(types, 'T'))} FROM T WHERE {where}", slots
     where = draw(predicates(slots, types, key_width, rows))
+    if kind == "star":
+        return kind, f"SELECT * FROM T WHERE {where}", slots
     if kind == "select":
-        columns = draw(st.lists(st.integers(0, len(types) - 1), min_size=1, max_size=3))
+        # Sometimes every column, in some order: one order is the
+        # table's own, whose select list re-emits its input.
+        columns = draw(
+            st.lists(st.integers(0, len(types) - 1), min_size=1, max_size=3)
+            | st.permutations(range(len(types)))
+        )
         return kind, f"SELECT {', '.join(f'C{c}' for c in columns)} FROM T WHERE {where}", slots
     if kind == "update":
         column = draw(st.integers(key_width, len(types) - 1))
@@ -219,23 +312,31 @@ def scenarios(draw):
     return types, key_width, rows, [sql for shape in script for sql in shape]
 
 
-def result(session, sql, optimize=True):
+def result(session, sql):
     """Sorted rows."""
-    return sorted(session.execute(sql, optimize=optimize).fetchall())
+    return sorted(session.execute(sql).fetchall())
 
 
-def outcome(session, sql, optimize=True):
+def outcome(session, sql):
     """Sorted rows, or the error ``sql`` raises."""
     try:
-        return result(session, sql, optimize)
+        return result(session, sql)
     except QueryError as error:
         return type(error), str(error)
 
 
+def compiled(session, sql):
+    """Sorted rows of the compiler's own tree, which no planner touched."""
+    tree = compile_select(parse_statement(sql), session.database)
+    return sorted(evaluate_rows(tree, session.database))
+
+
 def trees(session, sql):
-    """The optimized and raw plans the session runs for ``sql``."""
+    """The plan the session runs for ``sql``, after checking that the
+    planner only pruned it."""
     planned = session._route(sql)[2]
-    return planned.plan.describe(), planned.raw.describe()
+    assert {a.rule for a in planned.trace} <= {"prune-projections"}, sql
+    return planned.plan.describe()
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,9 +362,9 @@ def test_matches_sqlite(scenario):
                 run = outcome if kind == "grouped" else result
                 expected = run(fresh, sql)
                 assert run(session, sql) == expected, sql
-                assert run(session, sql, optimize=False) == expected, sql
                 if isinstance(expected, list):
                     assert expected == sorted(reference.execute(sql).fetchall()), sql
+                    assert expected == compiled(session, sql), sql
                     assert trees(session, sql) == trees(fresh, sql), sql
                 continue
             ours = session.execute(sql)

@@ -1,14 +1,15 @@
-"""Optimized-vs-unoptimized equivalence matrix (ISSUE 10 acceptance).
+"""Planned-vs-compiled equivalence matrix.
 
-The planner's contract: rewriting never changes answers.  Every test
-compares ``optimize=True`` (the default) against the ``optimize=False``
-escape hatch —
+The planner's contract: projection pruning never changes answers.
+Every test compares what a session runs against a reference built here
+from the compiler's own tree (``compile_select``), unpruned —
 
 * deterministic results must be **equal** (same rows, same order);
-* probabilistic marginals must be **bit-identical** for
-  unoptimized-equivalent plans (no factor-graph restriction fired):
-  the rewritten tree answers identically on every sampled world and
-  the chain stream does not depend on the plan shape;
+* probabilistic marginals must be **bit-identical** when no
+  factor-graph restriction fires: the pruned tree answers identically
+  on every sampled world and the chain stream does not depend on the
+  plan shape, so a fresh same-seed pipeline evaluating the compiled
+  tree reproduces the session's marginals;
 * when factor-graph pruning *does* fire (a deterministic group
   predicate), the restricted chain is a different — equally valid —
   sampler: frozen groups must provably never move, and marginals must
@@ -21,6 +22,11 @@ and live (post-DML) execution.
 import statistics
 
 import repro
+from repro.core.materialized import MaterializedEvaluator
+from repro.core.sharded import ShardedEvaluator
+from repro.db.ra.eval import evaluate_rows
+from repro.db.sql.compiler import compile_select
+from repro.db.sql.parser import parse_statement
 from repro.ie.coref import (
     CorefModel,
     MoveMentionProposer,
@@ -52,62 +58,100 @@ def rows(cursor):
     return sorted(tuple(r) for r in cursor)
 
 
+def compiled(sql, db):
+    """The compiler's own tree for ``sql``: no planner has touched it."""
+    return compile_select(parse_statement(sql), db)
+
+
+def marginal_rows(result):
+    """A result's marginals as a probabilistic cursor's sorted rows."""
+    return sorted(
+        row + (p,) for row, p in result.estimators[0].probabilities().items()
+    )
+
+
 class TestDeterministicEquivalence:
     def test_battery_optimized_equals_unoptimized(self):
         session = ner().session
         for sql in DETERMINISTIC_BATTERY:
-            optimized = list(session.execute(sql))
-            reference = list(session.execute(sql, optimize=False))
-            assert optimized == reference, sql
+            reference = evaluate_rows(compiled(sql, session.database), session.database)
+            assert list(session.execute(sql)) == reference, sql
 
 
 class TestNerBitIdentity:
     """No restriction fires on an uncertain-only predicate, so the
-    optimized runner drives the *same* attached chain — fresh same-seed
-    sessions must agree bit for bit."""
+    session's runner drives the *same* attached chain as an evaluator
+    of the compiled tree on a fresh same-seed pipeline: the two must
+    agree bit for bit."""
 
-    def _marginals(self, optimize, prepare=None):
+    @staticmethod
+    def _state(pipe):
+        world = tuple(v.value for v in pipe.instance.model.variables)
+        return world, pipe.instance.kernel.stats.accepted
+
+    def _session(self, prepare=None):
         pipe = ner(seed=4)
         if prepare is not None:
             prepare(pipe)
-        cursor = pipe.session.execute(
-            UNCERTAIN_QUERY, samples=8, optimize=optimize
-        )
-        world = tuple(v.value for v in pipe.instance.model.variables)
-        return rows(cursor), world, pipe.instance.kernel.stats.accepted
+        cursor = pipe.session.execute(UNCERTAIN_QUERY, samples=8)
+        return (rows(cursor),) + self._state(pipe)
+
+    def _reference(self, prepare=None):
+        pipe = ner(seed=4)
+        if prepare is not None:
+            prepare(pipe)
+        tree = compiled(UNCERTAIN_QUERY, pipe.db)
+        result = MaterializedEvaluator(pipe.db, pipe.instance.chain, [tree]).run(8)
+        return (marginal_rows(result),) + self._state(pipe)
 
     def test_plain(self):
-        assert self._marginals(True) == self._marginals(False)
+        assert self._session() == self._reference()
 
     def test_score_cache_off(self):
         off = lambda pipe: pipe.instance.kernel.graph.set_caching(False)
-        assert self._marginals(True, off) == self._marginals(False, off)
+        assert self._session(off) == self._reference(off)
 
     def test_sharded(self):
         a = rows(ner(seed=4).session.execute(UNCERTAIN_QUERY, samples=6, shards=2))
-        b = rows(
-            ner(seed=4).session.execute(
-                UNCERTAIN_QUERY, samples=6, shards=2, optimize=False
-            )
+        pipe = ner(seed=4)
+        evaluator = ShardedEvaluator(
+            pipe.db,
+            pipe.task.shard_chain_factory(),
+            [compiled(UNCERTAIN_QUERY, pipe.db)],
+            2,
+            validate_graph=pipe.instance.model.graph,
         )
+        try:
+            b = marginal_rows(evaluator.run(6))
+        finally:
+            evaluator.close()
         assert a == b
 
     def test_live_post_dml(self):
-        def run(optimize):
-            pipe = ner(seed=4)
-            session = pipe.session
-            first = rows(
-                session.execute(UNCERTAIN_QUERY, samples=5, optimize=optimize)
-            )
-            session.execute(
-                "INSERT INTO TOKEN VALUES (9000, 0, 'Brandeis', 'O', 'B-ORG')"
-            )
-            second = rows(
-                session.execute(UNCERTAIN_QUERY, samples=5, optimize=optimize)
-            )
-            return first, second
+        insert = "INSERT INTO TOKEN VALUES (9000, 0, 'Brandeis', 'O', 'B-ORG')"
+        session = ner(seed=4).session
+        first = session.execute(UNCERTAIN_QUERY, samples=5)
+        first = rows(first), first.num_samples
+        session.execute(insert)
+        second = session.execute(UNCERTAIN_QUERY, samples=5)
+        second = rows(second), second.num_samples
 
-        assert run(True) == run(False)
+        # The reference evaluator shares the pipeline's database, so its
+        # views fold in the INSERT and the session's graph repair; like
+        # the session's runner, it then re-pools and counts the repaired
+        # world as its first sample.
+        pipe = ner(seed=4)
+        evaluator = MaterializedEvaluator(
+            pipe.db, pipe.instance.chain, [compiled(UNCERTAIN_QUERY, pipe.db)]
+        )
+        result = evaluator.run(5)
+        reference_first = marginal_rows(result), result.estimators[0].num_samples
+        pipe.session.execute(insert)
+        evaluator.notify_repair(None)
+        result = evaluator.run(5)
+        reference_second = marginal_rows(result), result.estimators[0].num_samples
+        evaluator.detach()
+        assert (first, second) == (reference_first, reference_second)
 
 
 class TestNerPrunedExecution:
@@ -133,22 +177,17 @@ class TestNerPrunedExecution:
         # compare mean absolute marginal deviation against the full
         # chain at a tolerance calibrated well above same-chain
         # window-to-window noise but far below "wrong posterior".
-        def marginals(optimize):
-            cursor = ner(seed=2, tokens=600, k=60).session.execute(
-                PRUNABLE_QUERY, samples=120, optimize=optimize
-            )
-            return {tuple(r[:-1]): r[-1] for r in cursor}
-
-        pruned = marginals(True)
-        full = marginals(False)
+        pruned_cursor = ner(seed=2, tokens=600, k=60).session.execute(
+            PRUNABLE_QUERY, samples=120
+        )
+        pruned = {tuple(r[:-1]): r[-1] for r in pruned_cursor}
+        pipe = ner(seed=2, tokens=600, k=60)
+        tree = compiled(PRUNABLE_QUERY, pipe.db)
+        result = MaterializedEvaluator(pipe.db, pipe.instance.chain, [tree]).run(120)
+        full = result.estimators[0].probabilities()
         keys = set(pruned) | set(full)
         diffs = [abs(pruned.get(k, 0.0) - full.get(k, 0.0)) for k in keys]
         assert statistics.mean(diffs) < 0.30
-
-    def test_optimize_false_never_targets(self):
-        pipe = ner(seed=2)
-        runner = pipe.session.prepare(PRUNABLE_QUERY, optimize=False)
-        assert runner.targeted is False
 
     def test_dml_disposes_targeted_runner(self):
         pipe = ner(seed=2)
@@ -166,7 +205,8 @@ class TestNerPrunedExecution:
 
 
 class TestCorefEquivalence:
-    def _session(self):
+    @staticmethod
+    def _world():
         db = build_mention_database(
             generate_mentions(5, mentions_per_entity=3, seed=1)
         )
@@ -174,7 +214,10 @@ class TestCorefEquivalence:
         kernel = MetropolisHastings(
             model.graph, MoveMentionProposer(model.variables), seed=11
         )
-        chain = MarkovChain(kernel, steps_per_sample=20)
+        return db, model, MarkovChain(kernel, steps_per_sample=20)
+
+    def _session(self):
+        db, model, chain = self._world()
         return repro.connect(db).attach_model(model, chain=chain), model
 
     def test_deterministic_equivalence(self):
@@ -185,9 +228,8 @@ class TestCorefEquivalence:
             "SELECT M1.STRING, M2.STRING FROM MENTION M1, MENTION M2 "
             "WHERE M1.CLUSTER = M2.CLUSTER AND M1.MENTION_ID < M2.MENTION_ID",
         ]:
-            assert list(session.execute(sql)) == list(
-                session.execute(sql, optimize=False)
-            ), sql
+            reference = evaluate_rows(compiled(sql, session.database), session.database)
+            assert list(session.execute(sql)) == reference, sql
 
     def test_probabilistic_bit_identity(self):
         sql = (
@@ -195,12 +237,14 @@ class TestCorefEquivalence:
             "WHERE M1.CLUSTER = M2.CLUSTER AND M1.MENTION_ID < M2.MENTION_ID"
         )
 
-        def run(optimize):
-            session, model = self._session()
-            cursor = session.execute(sql, samples=8, optimize=optimize)
-            return rows(cursor), tuple(v.value for v in model.variables)
+        session, model = self._session()
+        cursor = session.execute(sql, samples=8)
+        planned = rows(cursor), tuple(v.value for v in model.variables)
 
-        assert run(True) == run(False)
+        db, model, chain = self._world()
+        result = MaterializedEvaluator(db, chain, [compiled(sql, db)]).run(8)
+        reference = marginal_rows(result), tuple(v.value for v in model.variables)
+        assert planned == reference
 
     def test_coref_model_never_targets(self):
         # CorefModel declares no group_column: factor-graph pruning

@@ -205,7 +205,14 @@ class TestConcurrentLoad:
                 assert stats["served"]["probabilistic"] >= NUM_SESSIONS // 4
                 # quiescent phase: with no commits racing, the second
                 # read of the same plan must be served from the shared
-                # cache at the same version
+                # cache at the same version.  A concurrent reader may
+                # already have cached QUERY at the last version, so one
+                # fence write first moves the version past every
+                # cached entry.
+                fence = await server.session("fence").execute(
+                    "INSERT INTO AUDIT VALUES (999999)"
+                )
+                audit_versions.append(fence.db_version)
                 warm = await server.session("warm-a").execute(QUERY, samples=3)
                 hit = await server.session("warm-b").execute(QUERY, samples=3)
                 assert not warm.cached and hit.cached
